@@ -6,7 +6,6 @@ estimates of maximum Nyquist densities for cap-union regions, together with
 independent brute-force and spectral verification oracles.
 """
 
-from ._backend import backend_name
 from ._version import __version__
 from .manifold import (
     EigenspaceInfo,
@@ -68,7 +67,6 @@ from .specfun import (
 
 __all__ = [
     "__version__",
-    "backend_name",
     # specfun
     "JacobiIndex", "ZeroResult", "QuadratureRule",
     "jacobi_eval", "jacobi_at_one", "jacobi_derivative", "jacobi_norm_sq",

@@ -1,50 +1,14 @@
-"""Hot numeric kernels, numba-jitted with a pure-numpy fallback.
-
-The jitted path is active when numba imports successfully and the
-environment variable ``CAPSIEVE_NO_NUMBA`` is unset (or ``"0"``).  Both
-implementations stay importable so that ``benchmarks/bench_kernels.py``
-and the backend tests can compare them directly.
+"""Hot numeric kernels in numpy: the Legendre series and the cap CDF inversion.
 
 Kernels here are deterministic transforms only; random numbers are always
-drawn by callers with numpy Generators so results do not depend on the
-selected backend's RNG.
+drawn by callers with numpy Generators.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-_DISABLED = os.environ.get("CAPSIEVE_NO_NUMBA", "").strip() not in ("", "0")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled via CAPSIEVE_NO_NUMBA")
-    import numba
-    from numba import njit, prange
-
-    numba.config.THREADING_LAYER = "workqueue"
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        # decorator stub so the jitted definitions below still parse
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-    prange = range  # type: ignore[assignment]
-
-
-def backend_name() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +16,16 @@ def backend_name() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _legendre_series_np(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+def legendre_series(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Evaluate sum_k coeffs[k] * P_k(t) for Legendre P_k, any t shape."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
     acc = np.full(t.shape, coeffs[0], dtype=np.float64)
     n = coeffs.shape[0]
     if n == 1:
         return acc
     pm = np.ones_like(t)
-    pc = np.array(t, dtype=np.float64, copy=True)
+    pc = t.copy()
     acc += coeffs[1] * pc
     for k in range(2, n):
         pm, pc = pc, ((2 * k - 1) * t * pc - (k - 1) * pm) / k
@@ -66,132 +33,12 @@ def _legendre_series_np(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-@njit(cache=True)
-def _legendre_series_scalar(coeffs, x):
-    acc = coeffs[0]
-    n = coeffs.shape[0]
-    if n == 1:
-        return acc
-    pm = 1.0
-    pc = x
-    acc += coeffs[1] * pc
-    for k in range(2, n):
-        pn = ((2 * k - 1) * x * pc - (k - 1) * pm) / k
-        pm = pc
-        pc = pn
-        acc += coeffs[k] * pc
-    return acc
-
-
-@njit(cache=True, parallel=True)
-def _legendre_series_nb(coeffs, t):
-    out = np.empty_like(t)
-    for i in prange(t.shape[0]):
-        out[i] = _legendre_series_scalar(coeffs, t[i])
-    return out
-
-
-def legendre_series(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k coeffs[k] * P_k(t) for Legendre P_k, any t shape."""
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    tarr = np.asarray(t, dtype=np.float64)
-    if HAVE_NUMBA:
-        flat = np.ascontiguousarray(tarr.ravel())
-        return _legendre_series_nb(coeffs, flat).reshape(tarr.shape)
-    return _legendre_series_np(coeffs, tarr)
-
-
-# ---------------------------------------------------------------------------
-# Kernel matrix / matvec:  M[i,j] = sw_i sw_j * sum_k c_k P_k(<x_i, x_j>)
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True, parallel=True)
-def _kernel_matrix_nb(points, sw, coeffs):
-    n, dim = points.shape
-    out = np.empty((n, n))
-    for i in prange(n):
-        for j in range(i, n):
-            d = 0.0
-            for q in range(dim):
-                d += points[i, q] * points[j, q]
-            if d > 1.0:
-                d = 1.0
-            elif d < -1.0:
-                d = -1.0
-            v = _legendre_series_scalar(coeffs, d) * sw[i] * sw[j]
-            out[i, j] = v
-            out[j, i] = v
-    return out
-
-
-def _kernel_matrix_np(points, sw, coeffs, block: int = 512):
-    n = points.shape[0]
-    out = np.empty((n, n))
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        dots = np.clip(points[s:e] @ points.T, -1.0, 1.0)
-        out[s:e] = _legendre_series_np(coeffs, dots) * np.outer(sw[s:e], sw)
-    return out
-
-
-def legendre_kernel_matrix(points: np.ndarray, sqrt_weights: np.ndarray,
-                           coeffs: np.ndarray) -> np.ndarray:
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    sw = np.ascontiguousarray(sqrt_weights, dtype=np.float64)
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _kernel_matrix_nb(points, sw, coeffs)
-    return _kernel_matrix_np(points, sw, coeffs)
-
-
-@njit(cache=True, parallel=True)
-def _kernel_matvec_nb(points, sw, coeffs, vec):
-    n, dim = points.shape
-    out = np.empty(n)
-    for i in prange(n):
-        acc = 0.0
-        for j in range(n):
-            d = 0.0
-            for q in range(dim):
-                d += points[i, q] * points[j, q]
-            if d > 1.0:
-                d = 1.0
-            elif d < -1.0:
-                d = -1.0
-            acc += _legendre_series_scalar(coeffs, d) * sw[j] * vec[j]
-        out[i] = acc * sw[i]
-    return out
-
-
-def _kernel_matvec_np(points, sw, coeffs, vec, block: int = 512):
-    n = points.shape[0]
-    out = np.empty(n)
-    wv = sw * vec
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        dots = np.clip(points[s:e] @ points.T, -1.0, 1.0)
-        out[s:e] = sw[s:e] * (_legendre_series_np(coeffs, dots) @ wv)
-    return out
-
-
-def legendre_kernel_matvec(points: np.ndarray, sqrt_weights: np.ndarray,
-                           coeffs: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    sw = np.ascontiguousarray(sqrt_weights, dtype=np.float64)
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    vec = np.ascontiguousarray(vec, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _kernel_matvec_nb(points, sw, coeffs, vec)
-    return _kernel_matvec_np(points, sw, coeffs, vec)
-
-
 # ---------------------------------------------------------------------------
 # Inverse CDF of the cap profile:  solve B_x(a,b) = u * B_xmax(a,b), x in
 # [0, xmax], by bisection with a fixed iteration count.  The incomplete beta
 # is summed by the hypergeometric series; arguments above 0.55 go through the
 # reflection B_x(a,b) = B(a,b) - B_{1-x}(b,a) so the series length stays
-# bounded.  Both backends use identical term/iteration counts.
+# bounded.
 # ---------------------------------------------------------------------------
 
 
@@ -212,7 +59,7 @@ def bisection_count(x_max: float) -> int:
     return int(math.ceil(math.log2(x_max / 5e-13)))
 
 
-def _beta_series_np(x, a, b, n_terms):
+def _beta_series(x, a, b, n_terms):
     s = np.zeros_like(x)
     p = np.ones_like(x)
     for m in range(n_terms):
@@ -221,62 +68,14 @@ def _beta_series_np(x, a, b, n_terms):
     return s * x**a
 
 
-@njit(cache=True)
-def _beta_series_scalar(x, a, b, n_terms):
-    s = 0.0
-    p = 1.0
-    for m in range(n_terms):
-        s += p / (a + m)
-        p *= (m + 1.0 - b) * x / (m + 1.0)
-    return s * x**a
-
-
-def _beta_tail_np(x, a, b, bab, nd, nr):
+def _beta_tail(x, a, b, bab, nd, nr):
     out = np.empty_like(x)
     lo = x <= 0.55
     if lo.any():
-        out[lo] = _beta_series_np(x[lo], a, b, nd)
+        out[lo] = _beta_series(x[lo], a, b, nd)
     hi = ~lo
     if hi.any():
-        out[hi] = bab - _beta_series_np(1.0 - x[hi], b, a, nr)
-    return out
-
-
-@njit(cache=True)
-def _beta_scalar(x, a, b, bab, nd, nr):
-    if x <= 0.55:
-        return _beta_series_scalar(x, a, b, nd)
-    return bab - _beta_series_scalar(1.0 - x, b, a, nr)
-
-
-def _invert_cdf_np(a, b, x_max, u, bab, nd, nr, n_iter):
-    z = float(_beta_tail_np(np.array([x_max]), a, b, bab, nd, nr)[0])
-    target = u * z
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, x_max)
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        below = _beta_tail_np(mid, a, b, bab, nd, nr) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-@njit(cache=True, parallel=True)
-def _invert_cdf_nb(a, b, x_max, u, bab, nd, nr, n_iter):
-    z = _beta_scalar(x_max, a, b, bab, nd, nr)
-    out = np.empty_like(u)
-    for i in prange(u.shape[0]):
-        target = u[i] * z
-        lo = 0.0
-        hi = x_max
-        for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            if _beta_scalar(mid, a, b, bab, nd, nr) < target:
-                lo = mid
-            else:
-                hi = mid
-        out[i] = 0.5 * (lo + hi)
+        out[hi] = bab - _beta_series(1.0 - x[hi], b, a, nr)
     return out
 
 
@@ -287,28 +86,16 @@ def invert_beta_tail_cdf(a: float, b: float, x_max: float,
     Returns x with B_x(a,b) = u * B_{x_max}(a,b), resolved by bisection to a
     bracket of width <= 5e-13.
     """
-    u = np.ascontiguousarray(u, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
     bab = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
     nd = series_length(min(x_max, 0.55), b)
     nr = series_length(0.45, a) if x_max > 0.55 else 1
-    n_iter = bisection_count(x_max)
-    if HAVE_NUMBA:
-        return _invert_cdf_nb(a, b, x_max, u, bab, nd, nr, n_iter)
-    return _invert_cdf_np(a, b, x_max, u, bab, nd, nr, n_iter)
-
-
-# explicit handles for the benchmark / cross-checks
-IMPLS = {
-    "legendre_series": {
-        "numpy": _legendre_series_np,
-        "numba": _legendre_series_nb if HAVE_NUMBA else None,
-    },
-    "legendre_kernel_matrix": {
-        "numpy": _kernel_matrix_np,
-        "numba": _kernel_matrix_nb if HAVE_NUMBA else None,
-    },
-    "legendre_kernel_matvec": {
-        "numpy": _kernel_matvec_np,
-        "numba": _kernel_matvec_nb if HAVE_NUMBA else None,
-    },
-}
+    target = u * float(_beta_tail(np.array([x_max]), a, b, bab, nd, nr)[0])
+    lo = np.zeros_like(u)
+    hi = np.full_like(u, x_max)
+    for _ in range(bisection_count(x_max)):
+        mid = 0.5 * (lo + hi)
+        below = _beta_tail(mid, a, b, bab, nd, nr) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)

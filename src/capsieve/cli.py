@@ -21,7 +21,6 @@ import sys
 
 import numpy as np
 
-from ._backend import backend_name
 from ._version import __version__
 from .manifold import space_from_id
 from .oracle import (
@@ -31,7 +30,7 @@ from .oracle import (
     limit_check,
     ordering_check,
 )
-from .region import RegionSpec, max_nyquist_density
+from .region import GRID_SIZE, REFINE_ITERS, RegionSpec, max_nyquist_density
 from .sieve import a_constant, a_infinity, bound_report, nyquist_delta, t2_constant
 from .specfun import JacobiIndex, bessel_first_zero, euler_rayleigh_bound, largest_zero
 
@@ -62,7 +61,7 @@ def _csv_cell(v) -> str:
 
 
 def _meta(**extra) -> dict:
-    meta = {"tool": "capsieve", "version": __version__, "backend": backend_name()}
+    meta = {"tool": "capsieve", "version": __version__}
     meta.update(extra)
     return meta
 
@@ -131,8 +130,8 @@ def _cmd_density(args) -> int:
         "rho_used": rho_used,
         "a_constant": a_k,
         "lambda2_bound": min(1.0, a_k * rho_used),
-        "meta": _meta(samples_per_center=args.samples, grid_size=4096,
-                      refine_iters=20),
+        "meta": _meta(samples_per_center=args.samples, grid_size=GRID_SIZE,
+                      refine_iters=REFINE_ITERS),
     })
     if args.format == "csv":
         flat = {k: v for k, v in payload.items() if k not in ("meta", "argmax_center")}
@@ -212,11 +211,11 @@ def _suite_spectral(K: int) -> list[dict]:
     full = RegionSpec(space=space, caps=(), complement=True)
     res = concentration_eigenvalue(full, K, 2 * K + 8)
     err = abs(res.lambda_max - 1.0)
-    trace = float((2.0 * np.arange(K + 1) + 1.0).sum())
+    trace = res.shannon_number
     return [
         _check(f"spectral_top[s2,K={K}]", err, 1e-6, err <= 1e-6),
         _check(f"spectral_trace[s2,K={K}]", trace, (K + 1) ** 2,
-               abs(trace - (K + 1) ** 2) <= 1e-3 * (K + 1) ** 2),
+               abs(trace - (K + 1) ** 2) <= 1e-9 * (K + 1) ** 2),
     ]
 
 

@@ -2,8 +2,8 @@
 
 Nothing here reuses the closed forms it is meant to check: the extremal
 constant is re-derived by direct minimization over nonnegative cap
-profiles, concentration eigenvalues come from a discretized kernel
-operator on a product quadrature grid of S^2, and the convolution identity
+profiles, concentration eigenvalues come from the spherical-harmonic Gram
+matrix of a product quadrature grid of S^2, and the convolution identity
 is tested by explicit double integration over the sphere.
 """
 
@@ -31,14 +31,12 @@ __all__ = [
     "SpectralResult",
     "extremal_bruteforce",
     "sphere_kernel",
+    "sphere_harmonics",
     "concentration_eigenvalue",
     "convolution_check",
     "ordering_check",
     "limit_check",
 ]
-
-_NODE_CAP = 20_000
-
 
 @dataclass(frozen=True)
 class ExtremalResult:
@@ -53,6 +51,7 @@ class ExtremalResult:
 @dataclass(frozen=True)
 class SpectralResult:
     lambda_max: float
+    shannon_number: float
     n_nodes: int
     K: int
     region: dict
@@ -169,14 +168,53 @@ def sphere_grid(n_theta: int, n_phi: int | None = None):
     return pts, wts
 
 
+def sphere_harmonics(K: int, points: np.ndarray) -> np.ndarray:
+    """Real spherical harmonics of degree <= K at unit vectors, one column each.
+
+    Orthonormal for the mass-one invariant measure, so that for every
+    degree l the columns of that degree satisfy the addition theorem
+    sum_m Y_lm(x) Y_lm(y) = (2l + 1) P_l(<x, y>).  The fully normalized
+    associated Legendre functions come from the standard stable
+    recurrences in l at fixed m.  Returns an array of shape (n, (K+1)^2).
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    z = np.clip(pts[:, 2], -1.0, 1.0)
+    s = np.hypot(pts[:, 0], pts[:, 1])
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    cols = []
+    p_mm = np.ones_like(z)
+    for m in range(K + 1):
+        if m == 1:
+            p_mm = math.sqrt(3.0) * s
+        elif m > 1:
+            p_mm = math.sqrt((2 * m + 1) / (2 * m)) * s * p_mm
+        # P_lm for l = m..K by the three-term recurrence in l
+        rows = [p_mm]
+        if m < K:
+            rows.append(math.sqrt(2 * m + 3) * z * p_mm)
+        for l in range(m + 2, K + 1):
+            a = math.sqrt((4 * l * l - 1) / ((l - m) * (l + m)))
+            b = math.sqrt((2 * l + 1) * (l + m - 1) * (l - m - 1)
+                          / ((l - m) * (l + m) * (2 * l - 3)))
+            rows.append(a * z * rows[-1] - b * rows[-2])
+        if m == 0:
+            cols += rows
+        else:
+            cos_m, sin_m = np.cos(m * phi), np.sin(m * phi)
+            cols += [r * cos_m for r in rows] + [r * sin_m for r in rows]
+    return np.column_stack(cols)
+
+
 def concentration_eigenvalue(region: RegionSpec, K: int, n_theta: int,
                              n_phi: int | None = None) -> SpectralResult:
     """Top eigenvalue of the discretized concentration operator on S^2.
 
-    The operator is restricted to the quadrature nodes inside the region;
-    the matrix sqrt(w_i w_j) k_K(<x_i, x_j>) is symmetric PSD and its norm
-    is extracted by power iteration (Rayleigh stagnation 1e-10).  Node
-    counts beyond 20000 switch to matrix-free application.
+    The operator sqrt(w_i w_j) k_K(<x_i, x_j>) on the quadrature nodes
+    inside the region factors as A A^T with A = sqrt(w) Y, Y the real
+    spherical harmonics of degree <= K at those nodes.  Its nonzero
+    eigenvalues are those of the (K+1)^2 x (K+1)^2 Gram matrix D = A^T A
+    (Simons, Dahlen & Wieczorek 2006), solved densely; trace(D) is the
+    Shannon number of the region.
     """
     if region.space.d != 2 or region.space.space_id != "s2":
         raise ValueError("the spectral oracle runs on S^2 only")
@@ -184,42 +222,17 @@ def concentration_eigenvalue(region: RegionSpec, K: int, n_theta: int,
         raise ValueError("n_theta must be at least 2K + 8")
     pts, wts = sphere_grid(n_theta, n_phi)
     n_total = pts.shape[0]
-    mask = region.contains(pts)
-    active = np.flatnonzero(mask)
+    active = np.flatnonzero(region.contains(pts))
     summary = {"caps": len(region.caps), "complement": region.complement,
                "n_active": int(active.size)}
     if active.size == 0:
-        return SpectralResult(lambda_max=0.0, n_nodes=n_total, K=K, region=summary)
-    pa = np.ascontiguousarray(pts[active])
-    sw = np.sqrt(wts[active])
-    coeffs = 2.0 * np.arange(K + 1, dtype=np.float64) + 1.0
-
-    if active.size <= _NODE_CAP:
-        mat = _backend.legendre_kernel_matrix(pa, sw, coeffs)
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            return mat @ v
-    else:  # pragma: no cover - desk-scale runs stay far below the cap
-        def apply(v: np.ndarray) -> np.ndarray:
-            return _backend.legendre_kernel_matvec(pa, sw, coeffs, v)
-
-    rng = np.random.default_rng(0x5EED)
-    v = np.ones(active.size) + 1e-3 * rng.standard_normal(active.size)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(5000):
-        mv = apply(v)
-        lam_new = float(v @ mv)
-        nrm = np.linalg.norm(mv)
-        if nrm == 0.0:
-            lam = 0.0
-            break
-        v = mv / nrm
-        if abs(lam_new - lam) <= 1e-10 * max(abs(lam_new), 1e-30):
-            lam = lam_new
-            break
-        lam = lam_new
-    return SpectralResult(lambda_max=lam, n_nodes=n_total, K=K, region=summary)
+        return SpectralResult(lambda_max=0.0, shannon_number=0.0, n_nodes=n_total,
+                              K=K, region=summary)
+    a = np.sqrt(wts[active])[:, None] * sphere_harmonics(K, pts[active])
+    gram = a.T @ a
+    return SpectralResult(lambda_max=float(np.linalg.eigvalsh(gram)[-1]),
+                          shannon_number=float(np.trace(gram)), n_nodes=n_total,
+                          K=K, region=summary)
 
 
 def convolution_check(K: int, g_coeffs, h_coeffs, n_theta: int) -> float:

@@ -32,8 +32,8 @@ __all__ = [
     "max_nyquist_density",
 ]
 
-_GRID_SIZE = 4096
-_REFINE_ITERS = 20
+GRID_SIZE = 4096
+REFINE_ITERS = 20
 
 
 def _as_unit(vec) -> np.ndarray:
@@ -107,9 +107,14 @@ class RegionSpec:
     @classmethod
     def from_dict(cls, payload: dict) -> "RegionSpec":
         space = space_from_id(payload["space"])
-        caps = tuple((np.asarray(c["center"], dtype=np.float64), float(c["delta"]))
-                     for c in payload.get("caps", []))
-        return cls(space=space, caps=caps,
+        caps = []
+        for i, cap in enumerate(payload.get("caps", [])):
+            for key in ("center", "delta"):
+                if not isinstance(cap, dict) or key not in cap:
+                    raise ValueError(f"cap {i} has no '{key}' key")
+            caps.append((np.asarray(cap["center"], dtype=np.float64),
+                         float(cap["delta"])))
+        return cls(space=space, caps=tuple(caps),
                    complement=bool(payload.get("complement", False)))
 
     @classmethod
@@ -246,7 +251,7 @@ def _fractions_for_centers(region: RegionSpec, centers: np.ndarray, delta: float
 
 
 def max_nyquist_density(region: RegionSpec, K: int, n_per_center: int,
-                        seed: int, grid_size: int = _GRID_SIZE) -> DensityEstimate:
+                        seed: int, grid_size: int = GRID_SIZE) -> DensityEstimate:
     """Estimate of the maximum Nyquist density rho(Omega, K).
 
     The cap parameter is the largest zero of the space's degree-K Jacobi
@@ -259,6 +264,8 @@ def max_nyquist_density(region: RegionSpec, K: int, n_per_center: int,
     space = region.space
     if K < 1 or not space.in_index_set(K):
         raise ValueError(f"K must be >= 1 and in the index set of {space.space_id}")
+    if n_per_center < 1:
+        raise ValueError(f"n_per_center must be >= 1, got {n_per_center}")
     delta = nyquist_delta(space, K)
     centers = candidate_centers(space, region.cap_centers(), space.d + 1,
                                 grid_size=grid_size, seed=seed)
@@ -270,7 +277,7 @@ def max_nyquist_density(region: RegionSpec, K: int, n_per_center: int,
 
     stream = centers.shape[0]
     step0 = 0.5 * math.acos(max(-1.0, min(1.0, delta)))
-    for it in range(_REFINE_ITERS):
+    for it in range(REFINE_ITERS):
         step = step0 * (0.75 ** it)
         cs, sn = math.cos(step), math.sin(step)
         basis = _tangent_basis(best_c)

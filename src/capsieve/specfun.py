@@ -365,6 +365,8 @@ def tail_quadrature(alpha: float, beta: float, delta: float, m: int) -> Quadratu
 
 _BESSEL_SERIES_CUT = 18.0
 _BESSEL_Z_MAX = 50.0
+# covers A_infinity, which needs J_{alpha+1} at j_{alpha,1}, for alpha <= 40
+_BESSEL_ORDER_MAX = 41.0
 
 
 def bessel_j(alpha: float, z: float) -> float:
@@ -375,8 +377,8 @@ def bessel_j(alpha: float, z: float) -> float:
     arithmetic); larger arguments use the Bessel integral representation
     with the exponential correction term for non-integer order.
     """
-    if not (-0.5 <= alpha <= 10.0):
-        raise ValueError(f"order must lie in [-1/2, 10], got {alpha}")
+    if not (-0.5 <= alpha <= _BESSEL_ORDER_MAX):
+        raise ValueError(f"order must lie in [-1/2, {_BESSEL_ORDER_MAX:g}], got {alpha}")
     if not (0.0 <= z <= _BESSEL_Z_MAX):
         raise ValueError(f"argument must lie in [0, {_BESSEL_Z_MAX}], got {z}")
     if z == 0.0:
@@ -431,8 +433,8 @@ def _bessel_integral(alpha: float, z: float) -> float:
 
 def bessel_first_zero(alpha: float) -> float:
     """Smallest positive zero j_{alpha,1}, by sign scan (step 0.05) and bisection."""
-    if not (-0.5 <= alpha <= 10.0):
-        raise ValueError(f"order must lie in [-1/2, 10], got {alpha}")
+    if not (-0.5 <= alpha <= _BESSEL_ORDER_MAX):
+        raise ValueError(f"order must lie in [-1/2, {_BESSEL_ORDER_MAX:g}], got {alpha}")
     step = 0.05
     z_prev = step
     f_prev = bessel_j(alpha, z_prev)

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 import capsieve as cs
-from capsieve import _backend
 from capsieve.oracle import (
     concentration_eigenvalue,
     convolution_check,
     extremal_bruteforce,
     ordering_check,
     sphere_grid,
+    sphere_harmonics,
 )
 from capsieve.region import RegionSpec, max_nyquist_density
 from capsieve.sieve import a_constant, a_infinity, nyquist_delta, t2_constant
@@ -199,15 +199,18 @@ def test_criterion_9_spectral_sanity(s2):
     full = RegionSpec(space=s2, caps=(), complement=True)
     res = concentration_eigenvalue(full, 10, 28)
     top_err = abs(res.lambda_max - 1.0)
-    pts, wts = sphere_grid(28)
-    coeffs = 2.0 * np.arange(11) + 1.0
-    mat = _backend.legendre_kernel_matrix(pts, np.sqrt(wts), coeffs)
-    trace = float(np.trace(mat))
-    trace_err = abs(trace - 121.0) / 121.0
-    ok = top_err <= 1e-6 and trace_err <= 1e-3
+    trace_err = abs(res.shannon_number - 121.0) / 121.0
+    # the full-space Gram matrix of the harmonics is the identity
+    eye_err = 0.0
+    for K in (3, 10, 20):
+        pts, wts = sphere_grid(2 * K + 8)
+        a = np.sqrt(wts)[:, None] * sphere_harmonics(K, pts)
+        eye_err = max(eye_err, float(np.max(np.abs(a.T @ a - np.eye((K + 1) ** 2)))))
+    ok = top_err <= 1e-6 and trace_err <= 1e-12 and eye_err <= 1e-12
     elapsed = time.perf_counter() - t0
-    _report(9, "full-space operator: top eigenvalue 1, trace 121", ok,
-            f"top err={top_err:.2e}, trace err={trace_err:.2e}", elapsed, 30.0)
+    _report(9, "full-space operator: top eigenvalue 1, trace 121, Gram = I", ok,
+            f"top err={top_err:.2e}, trace err={trace_err:.2e}, "
+            f"Gram err={eye_err:.2e}", elapsed, 30.0)
 
 
 def test_criterion_10_structural_checks():

@@ -1,86 +1,8 @@
-"""Numba and numpy kernel implementations must agree."""
-
-import os
-import subprocess
-import sys
+"""The cap sampler's CDF inversion in the numpy kernel module."""
 
 import numpy as np
-import pytest
 
 from capsieve import _backend
-
-
-needs_numba = pytest.mark.skipif(not _backend.HAVE_NUMBA,
-                                 reason="numba backend not active")
-
-
-def _rand_points(n, rng):
-    g = rng.standard_normal((n, 3))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-def test_backend_name_matches_flag():
-    assert _backend.backend_name() in ("numba", "numpy")
-    assert (_backend.backend_name() == "numba") == _backend.HAVE_NUMBA
-
-
-def test_env_flag_switches_backend():
-    env = dict(os.environ, CAPSIEVE_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from capsieve import backend_name; print(backend_name())"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-@needs_numba
-def test_legendre_series_impls_agree():
-    rng = np.random.default_rng(5)
-    coeffs = rng.standard_normal(13)
-    t = rng.uniform(-1.0, 1.0, 257)
-    a = _backend.IMPLS["legendre_series"]["numpy"](coeffs, t)
-    b = _backend.IMPLS["legendre_series"]["numba"](coeffs, t)
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
-
-
-@needs_numba
-def test_kernel_matrix_impls_agree():
-    rng = np.random.default_rng(6)
-    pts = _rand_points(120, rng)
-    sw = rng.uniform(0.1, 1.0, 120)
-    coeffs = 2.0 * np.arange(9) + 1.0
-    a = _backend.IMPLS["legendre_kernel_matrix"]["numpy"](pts, sw, coeffs)
-    b = _backend.IMPLS["legendre_kernel_matrix"]["numba"](pts, sw, coeffs)
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-11)
-    np.testing.assert_allclose(b, b.T, rtol=0, atol=0)
-
-
-@needs_numba
-def test_kernel_matvec_impls_agree():
-    rng = np.random.default_rng(7)
-    pts = _rand_points(150, rng)
-    sw = rng.uniform(0.1, 1.0, 150)
-    v = rng.standard_normal(150)
-    coeffs = 2.0 * np.arange(7) + 1.0
-    a = _backend.IMPLS["legendre_kernel_matvec"]["numpy"](pts, sw, coeffs, v)
-    b = _backend.IMPLS["legendre_kernel_matvec"]["numba"](pts, sw, coeffs, v)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
-@needs_numba
-def test_cdf_inversion_impls_agree():
-    rng = np.random.default_rng(8)
-    u = rng.random(512)
-    for a, b, xmax in [(1.0, 1.0, 0.25), (1.5, 1.5, 0.05), (4.0, 2.0, 0.45),
-                       (0.5, 0.5, 0.7)]:
-        import math
-        bab = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-        nd = _backend.series_length(min(xmax, 0.55), b)
-        nr = _backend.series_length(0.45, a) if xmax > 0.55 else 1
-        n_iter = _backend.bisection_count(xmax)
-        x_np = _backend._invert_cdf_np(a, b, xmax, u, bab, nd, nr, n_iter)
-        x_nb = _backend._invert_cdf_nb(a, b, xmax, u, bab, nd, nr, n_iter)
-        np.testing.assert_allclose(x_np, x_nb, rtol=0, atol=1e-12)
 
 
 def test_cdf_inversion_solves_equation():

@@ -106,6 +106,56 @@ def test_density_missing_region_file(capsys):
     assert code == 1
 
 
+def _region_file(tmp_path, caps):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"space": "s2", "caps": caps}))
+    return str(path)
+
+
+def test_density_rejects_zero_samples(tmp_path, capsys):
+    path = _region_file(tmp_path, [{"center": [0.0, 0.0, 1.0], "delta": 0.9}])
+    code, out, err = run_cli(capsys, "density", "--region", path, "--K", "5",
+                             "--samples", "0")
+    assert code == 1
+    assert out == ""
+    assert "n_per_center must be >= 1" in err
+
+
+def test_density_misspelled_cap_key(tmp_path, capsys):
+    path = _region_file(tmp_path, [{"center": [0.0, 0.0, 1.0], "delta": 0.9},
+                                   {"centre": [1.0, 0.0, 0.0], "delta": 0.9}])
+    code, _, err = run_cli(capsys, "density", "--region", path, "--K", "5")
+    assert code == 1
+    assert "cap 1" in err and "'center'" in err
+    path = _region_file(tmp_path, [{"center": [0.0, 0.0, 1.0]}])
+    code, _, err = run_cli(capsys, "density", "--region", path, "--K", "5")
+    assert code == 1
+    assert "cap 0" in err and "'delta'" in err
+
+
+def test_density_meta_reports_search_parameters(tmp_path, capsys):
+    from capsieve import region
+
+    path = _region_file(tmp_path, [{"center": [0.0, 0.0, 1.0], "delta": 0.9}])
+    code, out, _ = run_cli(capsys, "density", "--region", path, "--K", "3",
+                           "--samples", "4")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["grid_size"] == region.GRID_SIZE
+    assert meta["refine_iters"] == region.REFINE_ITERS
+    assert meta["samples_per_center"] == 4
+
+
+def test_bound_high_dimensional_spheres(capsys):
+    # A_infinity needs J_{alpha+1}: s21 has alpha + 1 = 10.5, s90 has 45
+    code, out, _ = run_cli(capsys, "bound", "s21", "--K", "10")
+    assert code == 0
+    assert json.loads(out)["A_infinity"] > 0.0
+    code, _, err = run_cli(capsys, "bound", "s90", "--K", "10")
+    assert code == 1
+    assert "order must lie in" in err
+
+
 def test_json_round_trip_byte_identical(capsys):
     _, out, _ = run_cli(capsys, "bound", "s3", "--K", "4")
     payload = json.loads(out)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import capsieve as cs
-from capsieve import _backend
 from capsieve.oracle import (
     concentration_eigenvalue,
     convolution_check,
@@ -14,6 +13,7 @@ from capsieve.oracle import (
     limit_check,
     ordering_check,
     sphere_grid,
+    sphere_harmonics,
     sphere_kernel,
 )
 from capsieve.region import RegionSpec
@@ -110,28 +110,44 @@ def test_spectral_empty_region(s2):
     empty = _region(s2, ())
     res = concentration_eigenvalue(empty, 10, 28)
     assert res.lambda_max == 0.0
+    assert res.shannon_number == 0.0
 
 
-def test_spectral_matrix_symmetric_and_trace(s2, pole):
-    pts, wts = sphere_grid(26)
-    coeffs = 2.0 * np.arange(11) + 1.0
-    mat = _backend.legendre_kernel_matrix(pts, np.sqrt(wts), coeffs)
-    assert float(np.max(np.abs(mat - mat.T))) <= 1e-14
-    trace = float(np.trace(mat))
-    assert trace == pytest.approx(121.0, rel=1e-3)
-
-
-def test_spectral_eigenvalues_are_zero_or_one(s2):
-    # small full-space operator: eigenvalues 1 with multiplicity (K+1)^2, rest 0
-    K, n_theta = 3, 14
+def _full_space_gram(K, n_theta):
     pts, wts = sphere_grid(n_theta)
-    coeffs = 2.0 * np.arange(K + 1) + 1.0
-    mat = _backend.legendre_kernel_matrix(pts, np.sqrt(wts), coeffs)
-    eig = np.linalg.eigvalsh(mat)
-    top = eig[-(K + 1) ** 2:]
-    rest = eig[:-(K + 1) ** 2]
-    assert np.max(np.abs(top - 1.0)) <= 1e-6
-    assert np.max(np.abs(rest)) <= 1e-6
+    a = np.sqrt(wts)[:, None] * sphere_harmonics(K, pts)
+    return a.T @ a
+
+
+def test_spectral_matrix_symmetric_and_trace(s2):
+    # full-space Gram matrix: symmetric, and its trace, the Shannon number,
+    # is the dimension (K+1)^2 of the degree-<=K expansions
+    gram = _full_space_gram(10, 28)
+    assert float(np.max(np.abs(gram - gram.T))) <= 1e-14
+    res = concentration_eigenvalue(_region(s2, (), complement=True), 10, 28)
+    assert res.shannon_number == pytest.approx(121.0, rel=1e-12)
+
+
+def test_spectral_eigenvalues_are_zero_or_one():
+    # full-space operator: eigenvalues 1 with multiplicity (K+1)^2, rest 0,
+    # i.e. the (K+1)^2 x (K+1)^2 Gram matrix is the identity
+    for K, n_theta in ((3, 14), (10, 28)):
+        gram = _full_space_gram(K, n_theta)
+        assert gram.shape == ((K + 1) ** 2, (K + 1) ** 2)
+        assert float(np.max(np.abs(gram - np.eye((K + 1) ** 2)))) <= 1e-12
+
+
+def test_sphere_harmonics_factor_the_kernel():
+    # A A^T / sqrt(w_i w_j) is the reproducing kernel k_K(<x_i, x_j>)
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((150, 3))
+    x = g / np.linalg.norm(g, axis=1, keepdims=True)
+    w = rng.uniform(0.1, 1.0, 150)
+    for K in (0, 1, 4, 9):
+        a = np.sqrt(w)[:, None] * sphere_harmonics(K, x)
+        got = (a @ a.T) / np.sqrt(np.outer(w, w))
+        want = sphere_kernel(K, np.clip(x @ x.T, -1.0, 1.0))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * (K + 1) ** 2)
 
 
 def test_spectral_cap_region_between_zero_and_one(s2, pole):

@@ -94,6 +94,19 @@ def test_a_infinity_s3_closed_form():
     assert a_infinity(s3) == pytest.approx(2.0 * math.pi ** 2 / 3.0, rel=1e-10)
 
 
+def test_a_infinity_high_alpha_against_mpmath():
+    import mpmath
+
+    for sid in ("s21", "s40", "s60", "s82", "cp80", "hp80"):
+        sp = cs.space_from_id(sid)
+        a = sp.alpha
+        with mpmath.workdps(30):
+            j = mpmath.besseljzero(a, 1)
+            want = float((j / 2) ** (2 * a) / ((a + 1) * mpmath.gamma(a + 1) ** 2
+                                               * mpmath.besselj(a + 1, j) ** 2))
+        assert a_infinity(sp) == pytest.approx(want, rel=1e-12)
+
+
 def test_a_infinity_beta_independent(s2, rp2):
     # the limit depends on alpha only: rp2 and s2 share alpha = 0
     assert a_infinity(rp2) == pytest.approx(a_infinity(s2), rel=1e-13)

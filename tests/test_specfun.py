@@ -426,9 +426,25 @@ def test_bessel_domain():
     with pytest.raises(ValueError):
         bessel_j(0.0, 51.0)
     with pytest.raises(ValueError):
-        bessel_j(11.0, 1.0)
+        bessel_j(41.5, 1.0)
     with pytest.raises(ValueError):
         bessel_j(0.0, -1.0)
+    with pytest.raises(ValueError):
+        bessel_first_zero(41.5)
+
+
+def test_bessel_high_orders_against_mpmath():
+    # orders 10.5..41 reach A_infinity of every space with alpha <= 40
+    import mpmath
+
+    with mpmath.workdps(30):
+        for alpha in np.arange(10.5, 41.01, 2.5):
+            for z in np.linspace(0.5, 50.0, 34):
+                want = float(mpmath.besselj(alpha, z))
+                assert abs(bessel_j(float(alpha), float(z)) - want) <= 1e-14
+        for alpha in (10.5, 20.0, 33.5, 41.0):
+            want = float(mpmath.besseljzero(alpha, 1))
+            assert bessel_first_zero(alpha) == pytest.approx(want, abs=1e-11)
 
 
 def test_bessel_first_zero_values():
