@@ -29,21 +29,21 @@ from .oracle import (
 )
 from .region import (
     DensityEstimate,
+    MeasureSpec,
     RegionSpec,
     cap_contains,
     cap_fraction,
     max_nyquist_density,
+    measure_bound,
     sample_cap,
     sample_space,
 )
 from .sieve import (
     BoundReport,
-    MeasureSpec,
     a_constant,
     a_infinity,
     bound_report,
     lp_bound,
-    measure_bound,
     nyquist_delta,
     t2_constant,
 )
@@ -76,11 +76,11 @@ __all__ = [
     "Family", "SpaceParams", "EigenspaceInfo", "make_space", "space_from_id",
     "eigenspace_info", "cap_measure", "zonal_coefficient",
     # sieve
-    "BoundReport", "MeasureSpec", "t2_constant", "a_constant", "a_infinity",
-    "measure_bound", "lp_bound", "bound_report", "nyquist_delta",
+    "BoundReport", "t2_constant", "a_constant", "a_infinity",
+    "lp_bound", "bound_report", "nyquist_delta",
     # region
-    "RegionSpec", "DensityEstimate", "cap_contains", "sample_cap",
-    "sample_space", "cap_fraction", "max_nyquist_density",
+    "RegionSpec", "DensityEstimate", "MeasureSpec", "cap_contains", "sample_cap",
+    "sample_space", "cap_fraction", "max_nyquist_density", "measure_bound",
     # oracle
     "ExtremalResult", "SpectralResult", "extremal_bruteforce", "sphere_kernel",
     "concentration_eigenvalue", "convolution_check", "ordering_check",

@@ -1,4 +1,4 @@
-"""Hot numeric kernels in numpy: the Legendre series and the cap CDF inversion.
+"""Hot numeric kernels in numpy: the incomplete-beta series and the cap CDF inversion.
 
 Kernels here are deterministic transforms only; random numbers are always
 drawn by callers with numpy Generators.
@@ -12,51 +12,27 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# Legendre series  sum_k c_k P_k(t)  (forward recurrence with accumulation)
+# Incomplete beta  B_x(a,b) = x^a sum_m (1-b)_m x^m / (m! (a+m)).  Arguments
+# above the mean a/(a+b) go through the reflection B(a,b) - B_{1-x}(b,a), so
+# the series argument never exceeds max(a, b)/(a+b).
 # ---------------------------------------------------------------------------
 
 
-def legendre_series(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k coeffs[k] * P_k(t) for Legendre P_k, any t shape."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    acc = np.full(t.shape, coeffs[0], dtype=np.float64)
-    n = coeffs.shape[0]
-    if n == 1:
-        return acc
-    pm = np.ones_like(t)
-    pc = t.copy()
-    acc += coeffs[1] * pc
-    for k in range(2, n):
-        pm, pc = pc, ((2 * k - 1) * t * pc - (k - 1) * pm) / k
-        acc += coeffs[k] * pc
-    return acc
+def _series_terms(x_bound: float, a: float, b: float) -> int:
+    """Terms the B_x(a,b) series needs at arguments <= x_bound.
 
-
-# ---------------------------------------------------------------------------
-# Inverse CDF of the cap profile:  solve B_x(a,b) = u * B_xmax(a,b), x in
-# [0, xmax], by bisection with a fixed iteration count.  The incomplete beta
-# is summed by the hypergeometric series; arguments above 0.55 go through the
-# reflection B_x(a,b) = B(a,b) - B_{1-x}(b,a) so the series length stays
-# bounded.
-# ---------------------------------------------------------------------------
-
-
-def series_length(x_bound: float, shape_b: float) -> int:
-    """Terms needed for the B_x hypergeometric series at arguments <= x_bound."""
-    if shape_b == int(shape_b) and shape_b >= 1:
-        return int(shape_b)  # (1-b)_m vanishes for m >= b: series is exact
-    if x_bound <= 1e-6:
-        return 12
-    n = int(math.ceil(17.0 / max(-math.log10(x_bound), 0.05))) + 8
-    return min(max(n, 12), 400)
-
-
-def bisection_count(x_max: float) -> int:
-    # bracket width 5e-13 in x gives 1e-12 in t = 1 - 2x
-    if x_max <= 5e-13:
-        return 1
-    return int(math.ceil(math.log2(x_max / 5e-13)))
+    The sum stops once the next coefficient drops below 1e-18 of the partial
+    sum; for integer b the coefficients (1-b)_m vanish from m = b on, so the
+    count is b and the series is exact.
+    """
+    s = 0.0
+    p = 1.0
+    for m in range(100000):
+        s += p / (a + m)
+        p *= (m + 1.0 - b) * x_bound / (m + 1.0)
+        if abs(p) <= 1e-18 * abs(s) * (a + m + 1.0):
+            return m + 1
+    raise RuntimeError("incomplete beta series did not converge")  # pragma: no cover
 
 
 def _beta_series(x, a, b, n_terms):
@@ -68,15 +44,40 @@ def _beta_series(x, a, b, n_terms):
     return s * x**a
 
 
-def _beta_tail(x, a, b, bab, nd, nr):
-    out = np.empty_like(x)
-    lo = x <= 0.55
-    if lo.any():
-        out[lo] = _beta_series(x[lo], a, b, nd)
-    hi = ~lo
-    if hi.any():
-        out[hi] = bab - _beta_series(1.0 - x[hi], b, a, nr)
-    return out
+def incomplete_beta_on(x_lo: float, x_hi: float, a: float, b: float, bab: float):
+    """B_x(a,b) as a vectorized function of x in [x_lo, x_hi], given bab = B(a,b).
+
+    Each branch sums the number of terms the convergence test asks for at its
+    largest argument, counted once here rather than on every evaluation.
+    """
+    mean = a / (a + b)
+    n_direct = _series_terms(min(x_hi, mean), a, b) if x_lo <= mean else 0
+    n_reflected = _series_terms(1.0 - max(x_lo, mean), b, a) if x_hi > mean else 0
+
+    def beta(x: np.ndarray) -> np.ndarray:
+        out = np.empty_like(x)
+        lo = x <= mean
+        if lo.any():
+            out[lo] = _beta_series(x[lo], a, b, n_direct)
+        hi = ~lo
+        if hi.any():
+            out[hi] = bab - _beta_series(1.0 - x[hi], b, a, n_reflected)
+        return out
+
+    return beta
+
+
+# ---------------------------------------------------------------------------
+# Inverse CDF of the cap profile:  solve B_x(a,b) = u * B_xmax(a,b), x in
+# [0, xmax], by bisection with a fixed iteration count.
+# ---------------------------------------------------------------------------
+
+
+def bisection_count(x_max: float) -> int:
+    # bracket width 5e-13 in x gives 1e-12 in t = 1 - 2x
+    if x_max <= 5e-13:
+        return 1
+    return int(math.ceil(math.log2(x_max / 5e-13)))
 
 
 def invert_beta_tail_cdf(a: float, b: float, x_max: float,
@@ -88,14 +89,13 @@ def invert_beta_tail_cdf(a: float, b: float, x_max: float,
     """
     u = np.asarray(u, dtype=np.float64)
     bab = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-    nd = series_length(min(x_max, 0.55), b)
-    nr = series_length(0.45, a) if x_max > 0.55 else 1
-    target = u * float(_beta_tail(np.array([x_max]), a, b, bab, nd, nr)[0])
+    beta = incomplete_beta_on(0.0, x_max, a, b, bab)
+    target = u * float(beta(np.array([x_max]))[0])
     lo = np.zeros_like(u)
     hi = np.full_like(u, x_max)
     for _ in range(bisection_count(x_max)):
         mid = 0.5 * (lo + hi)
-        below = _beta_tail(mid, a, b, bab, nd, nr) < target
+        below = beta(mid) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)

@@ -179,12 +179,13 @@ def _suite_ordering(space_id: str, K: int, seed: int) -> list[dict]:
                    worst >= -1e-12)]
 
 
-def _suite_extremal(space_id: str, K: int, seed: int) -> list[dict]:
+def _suite_extremal(space_id: str, K: int) -> list[dict]:
+    """T2 against the brute-force oracle at K in {2, 4} up to K, and at min(K, 4)."""
     space = space_from_id(space_id)
+    if K < 1:
+        raise ValueError(f"the extremal suite needs K >= 1, got {K}")
     checks = []
-    for k in (2, 4):
-        if not space.in_index_set(k):
-            continue
+    for k in sorted({k for k in (2, 4, min(K, 4)) if k <= K and space.in_index_set(k)}):
         t_kk = nyquist_delta(space, k)
         for delta in (t_kk, 0.5 * (1.0 + t_kk)):
             got = extremal_bruteforce(space, k, delta).T2_oracle
@@ -262,7 +263,7 @@ def _cmd_verify(args) -> int:
         if suite == "ordering":
             checks += _suite_ordering(args.space, args.K, args.seed)
         elif suite == "extremal":
-            checks += _suite_extremal(args.space, min(args.K, 4), args.seed)
+            checks += _suite_extremal(args.space, args.K)
         elif suite == "convolution":
             checks += _suite_convolution(args.seed)
         elif suite == "spectral":

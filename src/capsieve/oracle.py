@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import legval
 
-from . import _backend
 from .manifold import Family, SpaceParams, eigenspace_info, make_space, zonal_coefficient
 from .region import RegionSpec
 from .sieve import a_constant, a_infinity, nyquist_delta
@@ -145,7 +145,7 @@ def extremal_bruteforce(space: SpaceParams, K: int, delta: float,
 def sphere_kernel(K: int, t) -> np.ndarray | float:
     """Reproducing kernel of degree-<=K expansions on S^2 at cosine distance t."""
     coeffs = 2.0 * np.arange(K + 1, dtype=np.float64) + 1.0
-    out = _backend.legendre_series(coeffs, np.asarray(t, dtype=np.float64))
+    out = legval(np.asarray(t, dtype=np.float64), coeffs)
     if np.ndim(t) == 0:
         return float(out)
     return out
@@ -252,11 +252,11 @@ def convolution_check(K: int, g_coeffs, h_coeffs, n_theta: int) -> float:
     pts, wts = sphere_grid(n_theta)
     n_phi = 2 * n_theta
     tpole = np.clip(pts @ np.array([0.0, 0.0, 1.0]), -1.0, 1.0)
-    h_vals = _backend.legendre_series(h_coeffs, tpole)
+    h_vals = legval(tpole, h_coeffs)
     # c(x) = int h(y) G(<x, y>) dnu(y), at the first node of each ring
     reps = pts[::n_phi]
     dots = np.clip(reps @ pts.T, -1.0, 1.0)
-    conv_ring = _backend.legendre_series(g_coeffs, dots) @ (wts * h_vals)
+    conv_ring = legval(dots, g_coeffs) @ (wts * h_vals)
     ring_w = np.add.reduceat(wts, np.arange(0, wts.size, n_phi))
     ring_t = tpole[::n_phi]
     worst = 0.0
@@ -264,10 +264,10 @@ def convolution_check(K: int, g_coeffs, h_coeffs, n_theta: int) -> float:
         d_k = eigenspace_info(s2, k).d_k_raw
         unit = np.zeros(k + 1)
         unit[k] = 1.0
-        y_k = math.sqrt(d_k) * _backend.legendre_series(unit, ring_t)
+        y_k = math.sqrt(d_k) * legval(ring_t, unit)
         got = float(np.dot(ring_w, conv_ring * y_k))
-        ghat = zonal_coefficient(s2, K, lambda t: _backend.legendre_series(g_coeffs, t), k)
-        hhat = zonal_coefficient(s2, K, lambda t: _backend.legendre_series(h_coeffs, t), k)
+        ghat = zonal_coefficient(s2, K, lambda t: legval(t, g_coeffs), k)
+        hhat = zonal_coefficient(s2, K, lambda t: legval(t, h_coeffs), k)
         expect = ghat * hhat / math.sqrt(d_k)
         worst = max(worst, abs(got - expect))
     return worst

@@ -1,8 +1,11 @@
-"""Region geometry on the model spaces S^d and P^d(R).
+"""Cap geometry on the model spaces S^d and P^d(R).
 
 Regions are boolean combinations (union, optional complement) of geodesic
 caps.  Membership, cap-restricted sampling, Monte Carlo intersection
-fractions, and the maximum Nyquist density estimator live here.
+fractions, and the two suprema over cap centres live here: the maximum
+Nyquist density rho of a region and the largest cap mass of a finitely
+supported measure.  Both share one search (candidate centres, then
+spherical coordinate descent).
 
 Points are unit vectors in R^(d+1).  On the real projective spaces a point
 and its antipode represent the same element and the cosine distance is
@@ -19,17 +22,20 @@ import numpy as np
 
 from . import _backend
 from .manifold import Family, SpaceParams, space_from_id
-from .sieve import _mix64, _tangent_basis, candidate_centers, nyquist_delta
+from .sieve import nyquist_delta, t2_constant
 
 __all__ = [
     "RegionSpec",
     "DensityEstimate",
+    "MeasureSpec",
     "cap_contains",
     "cos_distance",
+    "candidate_centers",
     "sample_cap",
     "sample_space",
     "cap_fraction",
     "max_nyquist_density",
+    "measure_bound",
 ]
 
 GRID_SIZE = 4096
@@ -44,9 +50,13 @@ def _as_unit(vec) -> np.ndarray:
     return v / nrm
 
 
-def cos_distance(space: SpaceParams, x: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Cosine-distance coordinate of points x relative to a center."""
-    dots = np.clip(np.atleast_2d(x) @ np.asarray(center), -1.0, 1.0)
+def cos_distance(space: SpaceParams, x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Cosine-distance coordinates of points x relative to one center or to many.
+
+    A single center (shape (d+1,)) gives shape (n,); centers of shape
+    (m, d+1) give shape (n, m).
+    """
+    dots = np.clip(np.atleast_2d(x) @ np.asarray(centers).T, -1.0, 1.0)
     if space.family is Family.REAL_PROJECTIVE:
         dots = np.abs(dots)
     return dots
@@ -60,6 +70,109 @@ def cap_contains(space: SpaceParams, center, delta: float, x) -> np.ndarray | bo
     if np.ndim(x) == 1:
         return bool(inside[0])
     return inside
+
+
+def _tangent_basis(c: np.ndarray) -> np.ndarray:
+    dim = c.shape[0]
+    basis = []
+    for axis in range(dim):
+        v = np.zeros(dim)
+        v[axis] = 1.0
+        v -= np.dot(v, c) * c
+        for b in basis:
+            v -= np.dot(v, b) * b
+        nrm = np.linalg.norm(v)
+        if nrm > 1e-8:
+            basis.append(v / nrm)
+        if len(basis) == dim - 1:
+            break
+    return np.array(basis)
+
+
+def _fibonacci_sphere(n: int) -> np.ndarray:
+    i = np.arange(n, dtype=np.float64)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    phi = i * math.pi * (3.0 - math.sqrt(5.0))
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
+def _mix64(seed: int, index: int) -> int:
+    # splitmix-style mix so per-center streams are order-independent
+    x = (int(seed) ^ (int(index) * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return x ^ (x >> 31)
+
+
+_MAX_MIDPOINT_ANCHORS = 64
+_MAX_REFINED = 64
+
+
+def candidate_centers(space: SpaceParams, anchors: np.ndarray, dim: int,
+                      grid_size: int = GRID_SIZE, seed: int = 0) -> np.ndarray:
+    """Anchor points, their pairwise spherical midpoints, and a global grid.
+
+    On S^2 the grid is a Fibonacci spiral; in other dimensions it is a
+    seeded uniform point set (deterministic given the seed).  Midpoints are
+    enumerated for the first 64 anchors only so large atom sets stay
+    tractable.
+    """
+    cands = [np.atleast_2d(anchors)] if anchors.size else []
+    n_anchor = 0 if not cands else cands[0].shape[0]
+    mids = []
+    for i in range(min(n_anchor, _MAX_MIDPOINT_ANCHORS)):
+        for j in range(i + 1, min(n_anchor, _MAX_MIDPOINT_ANCHORS)):
+            a, b = cands[0][i], cands[0][j]
+            if space.family is Family.REAL_PROJECTIVE and np.dot(a, b) < 0.0:
+                b = -b
+            m = a + b
+            nrm = np.linalg.norm(m)
+            if nrm > 1e-9:
+                mids.append(m / nrm)
+    if mids:
+        cands.append(np.array(mids))
+    if dim == 3:
+        cands.append(_fibonacci_sphere(grid_size))
+    else:
+        rng = np.random.default_rng(_mix64(seed, 0x6D5A1))
+        g = rng.standard_normal((grid_size, dim))
+        cands.append(g / np.linalg.norm(g, axis=1, keepdims=True))
+    return np.vstack(cands)
+
+
+def _best_center(score, candidates: np.ndarray, delta: float, keep: int,
+                 iters: int) -> tuple[np.ndarray, float]:
+    """Largest score over cap centers, searched from a candidate set.
+
+    The best ``keep`` candidates (ties in candidate order) are refined by
+    spherical coordinate descent: each iteration tries a step of
+    acos(delta)/2 * 0.75^it along every tangent axis of every kept center and
+    keeps strict improvements.  Returns the best center and its score.
+    """
+    vals = score(candidates)
+    top = np.argsort(-vals, kind="stable")[:keep]
+    centers = candidates[top].copy()
+    best = vals[top].copy()
+    step0 = 0.5 * math.acos(max(-1.0, min(1.0, delta)))
+    for it in range(iters):
+        step = step0 * (0.75 ** it)
+        cs, sn = math.cos(step), math.sin(step)
+        trials = []
+        for c in centers:
+            basis = _tangent_basis(c)
+            trials.append(np.vstack([cs * c + sn * v for v in basis]
+                                    + [cs * c - sn * v for v in basis]))
+        trials = np.stack(trials)  # (keep, 2(dim-1), dim)
+        tvals = score(trials.reshape(-1, trials.shape[-1])).reshape(trials.shape[0], -1)
+        arg = tvals.argmax(axis=1)
+        cand_best = tvals[np.arange(tvals.shape[0]), arg]
+        take = cand_best > best
+        if take.any():
+            centers[take] = trials[take, arg[take]]
+            best = np.maximum(best, cand_best)
+    i = int(np.argmax(best))
+    return centers[i], float(best[i])
 
 
 @dataclass(frozen=True)
@@ -91,10 +204,7 @@ class RegionSpec:
         else:
             centers = np.array([c for c, _ in self.caps])
             deltas = np.array([d for _, d in self.caps])
-            dots = np.clip(pts @ centers.T, -1.0, 1.0)
-            if self.space.family is Family.REAL_PROJECTIVE:
-                dots = np.abs(dots)
-            inside = (dots >= deltas).any(axis=1)
+            inside = (cos_distance(self.space, pts, centers) >= deltas).any(axis=1)
         return ~inside if self.complement else inside
 
     def cap_centers(self) -> np.ndarray:
@@ -106,6 +216,10 @@ class RegionSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RegionSpec":
+        if not isinstance(payload, dict) or "space" not in payload:
+            raise ValueError("a region must be a JSON object with a 'space' key")
+        if not isinstance(payload.get("caps", []), list):
+            raise ValueError("the region's 'caps' must be a list")
         space = space_from_id(payload["space"])
         caps = []
         for i, cap in enumerate(payload.get("caps", [])):
@@ -269,28 +383,67 @@ def max_nyquist_density(region: RegionSpec, K: int, n_per_center: int,
     delta = nyquist_delta(space, K)
     centers = candidate_centers(space, region.cap_centers(), space.d + 1,
                                 grid_size=grid_size, seed=seed)
-    fracs = _fractions_for_centers(region, centers, delta, n_per_center, seed,
-                                   stream_base=0)
-    best_idx = int(np.argmax(fracs))
-    best_c = centers[best_idx]
-    best_f = float(fracs[best_idx])
+    stream = 0
 
-    stream = centers.shape[0]
-    step0 = 0.5 * math.acos(max(-1.0, min(1.0, delta)))
-    for it in range(REFINE_ITERS):
-        step = step0 * (0.75 ** it)
-        cs, sn = math.cos(step), math.sin(step)
-        basis = _tangent_basis(best_c)
-        trials = np.vstack([cs * best_c + sn * v for v in basis]
-                           + [cs * best_c - sn * v for v in basis])
-        vals = _fractions_for_centers(region, trials, delta, n_per_center, seed,
-                                      stream_base=stream)
-        stream += trials.shape[0]
-        arg = int(np.argmax(vals))
-        if vals[arg] > best_f:
-            best_f = float(vals[arg])
-            best_c = trials[arg]
+    def score(cands: np.ndarray) -> np.ndarray:
+        nonlocal stream
+        fracs = _fractions_for_centers(region, cands, delta, n_per_center, seed,
+                                       stream_base=stream)
+        stream += cands.shape[0]
+        return fracs
+
+    best_c, best_f = _best_center(score, centers, delta, keep=1, iters=REFINE_ITERS)
     se = math.sqrt(best_f * (1.0 - best_f) / n_per_center)
     return DensityEstimate(rho=best_f, argmax_center=best_c, std_error=se,
                            n_samples=n_per_center, n_centers=int(centers.shape[0]),
                            seed=int(seed))
+
+
+# ---------------------------------------------------------------------------
+# Bounds for finitely supported measures
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MeasureSpec:
+    """Finitely supported positive measure on a model space (S^d or P^d(R))."""
+
+    points: np.ndarray   # (n, d+1) unit vectors
+    weights: np.ndarray  # (n,) positive
+
+    def __post_init__(self):
+        pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
+        w = np.asarray(self.weights, dtype=np.float64).ravel()
+        if pts.shape[0] != w.shape[0]:
+            raise ValueError("points and weights must have matching lengths")
+        if np.any(w <= 0.0):
+            raise ValueError("weights must be strictly positive")
+        norms = np.linalg.norm(pts, axis=1)
+        if np.any(np.abs(norms - 1.0) > 1e-9):
+            raise ValueError("points must be unit vectors")
+        object.__setattr__(self, "points", pts / norms[:, None])
+        object.__setattr__(self, "weights", w)
+
+
+def measure_bound(space: SpaceParams, K: int, delta: float, mu: MeasureSpec,
+                  grid_size: int = GRID_SIZE, refine_iters: int = REFINE_ITERS) -> float:
+    """T2(K, delta) times the largest mu-mass of any cap of parameter delta.
+
+    The sup over cap centers is searched over the atoms, their pairwise
+    midpoints and a global grid; the best 64 candidates are then refined by
+    spherical coordinate descent with a geometrically shrinking step.  Exact
+    for finitely supported mu whenever the candidate set hits an optimal
+    center; the search is deterministic.
+    """
+    if space.family not in (Family.SPHERE, Family.REAL_PROJECTIVE):
+        raise ValueError("measures are supported on S^d and P^d(R) only")
+    if mu.points.shape[1] != space.d + 1:
+        raise ValueError(f"points must sit in R^{space.d + 1} for {space.space_id}")
+    t2 = t2_constant(space, K, delta)
+
+    def masses(centers: np.ndarray) -> np.ndarray:
+        return (cos_distance(space, centers, mu.points) >= delta) @ mu.weights
+
+    cand = candidate_centers(space, mu.points, space.d + 1, grid_size=grid_size)
+    _, best = _best_center(masses, cand, delta, keep=_MAX_REFINED, iters=refine_iters)
+    return t2 * best

@@ -1,8 +1,9 @@
 """Concentration-bound engine.
 
 Computes the sharp cap concentration constant T2(K, delta), the Nyquist
-bound constant A_K, its large-K Bessel limit, bounds against general
-finitely supported measures, and the L^p exponent extension.
+bound constant A_K, its large-K Bessel limit, and the L^p exponent
+extension.  The suprema over cap centres that these constants multiply
+live in ``region``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .manifold import Family, SpaceParams, cap_measure
+from .manifold import SpaceParams, cap_measure
 from .specfun import (
     JacobiIndex,
     bessel_first_zero,
@@ -28,11 +29,9 @@ from .specfun import (
 
 __all__ = [
     "BoundReport",
-    "MeasureSpec",
     "t2_constant",
     "a_constant",
     "a_infinity",
-    "measure_bound",
     "lp_bound",
     "bound_report",
     "nyquist_delta",
@@ -126,156 +125,6 @@ def lp_bound(space: SpaceParams, K: int, rho: float, p: float) -> float:
         return 0.0
     expo = min(p - 1.0, 1.0)
     return min(1.0, (a_constant(space, K) * rho) ** expo)
-
-
-# ---------------------------------------------------------------------------
-# Bounds for finitely supported measures
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MeasureSpec:
-    """Finitely supported positive measure on a model space (S^d or P^d(R))."""
-
-    points: np.ndarray   # (n, d+1) unit vectors
-    weights: np.ndarray  # (n,) positive
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
-        w = np.asarray(self.weights, dtype=np.float64).ravel()
-        if pts.shape[0] != w.shape[0]:
-            raise ValueError("points and weights must have matching lengths")
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be strictly positive")
-        norms = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("points must be unit vectors")
-        object.__setattr__(self, "points", pts / norms[:, None])
-        object.__setattr__(self, "weights", w)
-
-
-def _cos_dist_matrix(space: SpaceParams, centers: np.ndarray, points: np.ndarray) -> np.ndarray:
-    dots = np.clip(centers @ points.T, -1.0, 1.0)
-    if space.family is Family.REAL_PROJECTIVE:
-        return np.abs(dots)
-    return dots
-
-
-def _tangent_basis(c: np.ndarray) -> np.ndarray:
-    dim = c.shape[0]
-    basis = []
-    for axis in range(dim):
-        v = np.zeros(dim)
-        v[axis] = 1.0
-        v -= np.dot(v, c) * c
-        for b in basis:
-            v -= np.dot(v, b) * b
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            basis.append(v / nrm)
-        if len(basis) == dim - 1:
-            break
-    return np.array(basis)
-
-
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    i = np.arange(n, dtype=np.float64)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    phi = i * math.pi * (3.0 - math.sqrt(5.0))
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-
-
-def _mix64(seed: int, index: int) -> int:
-    # splitmix-style mix so per-center streams are order-independent
-    x = (int(seed) ^ (int(index) * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return x ^ (x >> 31)
-
-
-_MAX_MIDPOINT_ANCHORS = 64
-
-
-def candidate_centers(space: SpaceParams, anchors: np.ndarray, dim: int,
-                      grid_size: int = 4096, seed: int = 0) -> np.ndarray:
-    """Anchor points, their pairwise spherical midpoints, and a global grid.
-
-    On S^2 the grid is a Fibonacci spiral; in other dimensions it is a
-    seeded uniform point set (deterministic given the seed).  Midpoints are
-    enumerated for the first 64 anchors only so large atom sets stay
-    tractable.
-    """
-    cands = [np.atleast_2d(anchors)] if anchors.size else []
-    n_anchor = 0 if not cands else cands[0].shape[0]
-    mids = []
-    for i in range(min(n_anchor, _MAX_MIDPOINT_ANCHORS)):
-        for j in range(i + 1, min(n_anchor, _MAX_MIDPOINT_ANCHORS)):
-            a, b = cands[0][i], cands[0][j]
-            if space.family is Family.REAL_PROJECTIVE and np.dot(a, b) < 0.0:
-                b = -b
-            m = a + b
-            nrm = np.linalg.norm(m)
-            if nrm > 1e-9:
-                mids.append(m / nrm)
-    if mids:
-        cands.append(np.array(mids))
-    if dim == 3:
-        cands.append(_fibonacci_sphere(grid_size))
-    else:
-        rng = np.random.default_rng(_mix64(seed, 0x6D5A1))
-        g = rng.standard_normal((grid_size, dim))
-        cands.append(g / np.linalg.norm(g, axis=1, keepdims=True))
-    return np.vstack(cands)
-
-
-_MAX_REFINED = 64
-
-
-def measure_bound(space: SpaceParams, K: int, delta: float, mu: MeasureSpec,
-                  grid_size: int = 4096, refine_iters: int = 20) -> float:
-    """T2(K, delta) times the largest mu-mass of any cap of parameter delta.
-
-    The sup over cap centers is searched over the atoms, their pairwise
-    midpoints and a global grid; the best 64 candidates are then refined by
-    spherical coordinate descent with a geometrically shrinking step.  Exact
-    for finitely supported mu whenever the candidate set hits an optimal
-    center; the search is deterministic.
-    """
-    if space.family not in (Family.SPHERE, Family.REAL_PROJECTIVE):
-        raise ValueError("measures are supported on S^d and P^d(R) only")
-    if mu.points.shape[1] != space.d + 1:
-        raise ValueError(f"points must sit in R^{space.d + 1} for {space.space_id}")
-    t2 = t2_constant(space, K, delta)
-
-    def masses(centers: np.ndarray) -> np.ndarray:
-        inside = _cos_dist_matrix(space, centers, mu.points) >= delta
-        return inside @ mu.weights
-
-    cand = candidate_centers(space, mu.points, space.d + 1, grid_size=grid_size)
-    vals = masses(cand)
-    keep = np.argsort(vals)[::-1][:_MAX_REFINED]
-    centers = cand[keep].copy()
-    best = vals[keep].copy()
-    step0 = 0.5 * math.acos(max(-1.0, min(1.0, delta)))
-    for it in range(refine_iters):
-        step = step0 * (0.75 ** it)
-        cs, sn = math.cos(step), math.sin(step)
-        trials = []
-        for c in centers:
-            basis = _tangent_basis(c)
-            trials.append(np.vstack([cs * c + sn * v for v in basis]
-                                    + [cs * c - sn * v for v in basis]))
-        trials = np.stack(trials)  # (n_refined, 2(dim-1), dim)
-        flat = trials.reshape(-1, trials.shape[-1])
-        tvals = masses(flat).reshape(trials.shape[0], -1)
-        arg = tvals.argmax(axis=1)
-        cand_best = tvals[np.arange(tvals.shape[0]), arg]
-        take = cand_best > best
-        if take.any():
-            centers[take] = trials[take, arg[take]]
-            best = np.maximum(best, cand_best)
-    return t2 * float(best.max())
 
 
 # ---------------------------------------------------------------------------

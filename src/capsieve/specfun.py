@@ -17,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _backend
+
 __all__ = [
     "JacobiIndex",
     "ZeroResult",
@@ -127,24 +129,8 @@ def incomplete_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return beta_function(a, b)
-    if x <= a / (a + b):
-        return _beta_series(x, a, b)
-    return beta_function(a, b) - _beta_series(1.0 - x, b, a)
-
-
-def _beta_series(x: float, a: float, b: float) -> float:
-    # sum_m  (1-b)_m x^m / (m! (a+m)),  times x^a
-    s = 0.0
-    p = 1.0
-    for m in range(100000):
-        term = p / (a + m)
-        s += term
-        p *= (m + 1.0 - b) * x / (m + 1.0)
-        if abs(p) <= 1e-18 * abs(s) * (a + m + 1.0):
-            break
-    else:  # pragma: no cover
-        raise RuntimeError("incomplete beta series did not converge")
-    return s * math.pow(x, a)
+    beta = _backend.incomplete_beta_on(x, x, a, b, beta_function(a, b))
+    return float(beta(np.array([x]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The cap sampler's CDF inversion in the numpy kernel module."""
 
 import numpy as np
+import pytest
 
 from capsieve import _backend
 
@@ -29,7 +30,14 @@ def test_cdf_inversion_bracket_tolerance():
     np.testing.assert_allclose(x, 0.37 * u, atol=5e-13)
 
 
-def test_series_length_integer_shortcut():
-    assert _backend.series_length(0.5, 1.0) == 1
-    assert _backend.series_length(0.5, 4.0) == 4
-    assert _backend.series_length(0.5, 1.5) > 10
+def test_cdf_inversion_against_scipy():
+    # s3 caps: density x^(1/2) (1-x)^(1/2), with x_max on both sides of the
+    # mean.  x_max = 1 is left out: there the density vanishes at the top
+    # quantile, and one ulp of the CDF moves that quantile by 1e-11.
+    special = pytest.importorskip("scipy.special")
+    a = b = 1.5
+    u = np.linspace(0.0, 1.0, 41)
+    for xmax in (0.01, 0.3, 0.5, 0.6, 0.8, 0.99):
+        x = _backend.invert_beta_tail_cdf(a, b, xmax, u)
+        want = special.betaincinv(a, b, u * special.betainc(a, b, xmax))
+        np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-12)

@@ -133,6 +133,20 @@ def test_density_misspelled_cap_key(tmp_path, capsys):
     assert "cap 0" in err and "'delta'" in err
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"caps": []}, "'space' key"),
+    ([1, 2], "JSON object"),
+    ({"space": "s2", "caps": 5}, "'caps' must be a list"),
+])
+def test_density_rejects_malformed_region_file(tmp_path, capsys, payload, message):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "density", "--region", str(path), "--K", "5")
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_density_meta_reports_search_parameters(tmp_path, capsys):
     from capsieve import region
 
@@ -189,6 +203,22 @@ def test_verify_ordering_cay16(capsys):
     payload = json.loads(out)
     assert payload["all_pass"] is True
     assert payload["checks"][0]["check"].startswith("ordering[cay16")
+
+
+def _extremal_ks(capsys, *argv):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "extremal", *argv)
+    assert code == 0
+    names = [c["check"] for c in json.loads(out)["checks"]]
+    return sorted({int(n.split(",K=")[1].split(",")[0]) for n in names})
+
+
+def test_verify_extremal_honours_k(capsys):
+    assert _extremal_ks(capsys, "--K", "1") == [1]
+    assert _extremal_ks(capsys, "--K", "3") == [2, 3]
+    assert _extremal_ks(capsys, "--space", "rp2", "--K", "3") == [2]
+    assert _extremal_ks(capsys) == [2, 4]
+    code, _, err = run_cli(capsys, "verify", "--suite", "extremal", "--K", "0")
+    assert code == 1 and "K >= 1" in err
 
 
 def test_verify_structural(capsys):

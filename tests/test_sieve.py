@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import capsieve as cs
-from capsieve.sieve import MeasureSpec, a_constant, a_infinity, bound_report, \
-    lp_bound, measure_bound, nyquist_delta, t2_constant
+from capsieve.region import MeasureSpec, measure_bound
+from capsieve.sieve import a_constant, a_infinity, bound_report, lp_bound, \
+    nyquist_delta, t2_constant
 
 
 def test_t2_hemisphere_closed_form(s2):

@@ -102,6 +102,21 @@ def test_incomplete_beta_domain():
         incomplete_beta(0.5, -1.0, 1.0)
 
 
+# (alpha + 1, beta + 1) of s2, s3, rp2, cp4, hp8, cay16 and s21
+SPACE_BETA_PAIRS = [(1.0, 1.0), (1.5, 1.5), (1.0, 1.0), (2.0, 1.0), (4.0, 2.0),
+                    (8.0, 4.0), (10.5, 10.5)]
+
+
+def test_incomplete_beta_against_scipy():
+    special = pytest.importorskip("scipy.special")
+    for a, b in SPACE_BETA_PAIRS:
+        mean = a / (a + b)
+        # both branches: the direct series below the mean, the reflection above
+        for x in (1e-6, 0.01, 0.2, 0.5 * mean, mean, 0.5 * (1.0 + mean), 0.9, 0.999):
+            want = special.betainc(a, b, x) * special.beta(a, b)
+            assert incomplete_beta(x, a, b) == pytest.approx(want, rel=1e-13)
+
+
 def test_weight_tail_asymptotics():
     # integral of the weight over [delta, 1] behaves like
     # 2^beta (1-delta)^(alpha+1) / (alpha+1) with a bounded scaled remainder
