@@ -85,17 +85,41 @@ def invert_beta_tail_cdf(a: float, b: float, x_max: float,
     """Quantiles of the density x^(a-1) (1-x)^(b-1) restricted to [0, x_max].
 
     Returns x with B_x(a,b) = u * B_{x_max}(a,b), resolved by bisection to a
-    bracket of width <= 5e-13.
+    bracket of width <= 5e-13.  When x_max lies above the mean a/(a+b), the
+    test at points above the mean compares the complement B_{1-x}(b,a) with
+    B_{1-x_max}(b,a) + (1-u) B_{x_max}(a,b): the reflection
+    B(a,b) - B_{1-x}(b,a) would lose the small complement near the top
+    quantiles, where the density may vanish.
     """
     u = np.asarray(u, dtype=np.float64)
     bab = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-    beta = incomplete_beta_on(0.0, x_max, a, b, bab)
-    target = u * float(beta(np.array([x_max]))[0])
+    mean = a / (a + b)
+    if x_max <= mean:
+        beta = incomplete_beta_on(0.0, x_max, a, b, bab)
+        target = u * float(beta(np.array([x_max]))[0])
+
+        def below(x: np.ndarray) -> np.ndarray:
+            return beta(x) < target
+    else:
+        beta = incomplete_beta_on(0.0, mean, a, b, bab)
+        comp = incomplete_beta_on(1.0 - x_max, 1.0 - mean, b, a, bab)
+        comp_top = float(comp(np.array([1.0 - x_max]))[0])
+        target = u * (bab - comp_top)
+        comp_target = comp_top + (1.0 - u) * (bab - comp_top)
+
+        def below(x: np.ndarray) -> np.ndarray:
+            out = np.empty(x.shape, dtype=bool)
+            left = x <= mean
+            out[left] = beta(x[left]) < target[left]
+            right = ~left
+            out[right] = comp(1.0 - x[right]) > comp_target[right]
+            return out
+
     lo = np.zeros_like(u)
     hi = np.full_like(u, x_max)
     for _ in range(bisection_count(x_max)):
         mid = 0.5 * (lo + hi)
-        below = beta(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        mid_below = below(mid)
+        lo = np.where(mid_below, mid, lo)
+        hi = np.where(mid_below, hi, mid)
     return 0.5 * (lo + hi)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,17 +41,32 @@ __all__ = [
 _DELTA_SLACK = 1e-12
 
 
+@lru_cache(maxsize=4096)
+def _largest_zero_t(alpha: float, beta: float, K: int) -> float:
+    # every constant at (space, K) needs t_KK: solve once per (alpha, beta, K)
+    return largest_zero(JacobiIndex(alpha, beta, K)).t_nn
+
+
 def nyquist_delta(space: SpaceParams, K: int) -> float:
     """Largest zero t_KK of the space's degree-K Jacobi polynomial (t_min for K=0)."""
     if not space.in_index_set(K):
         raise ValueError(f"K={K} not in index set of {space.space_id}")
     if K == 0:
         return space.t_min
-    return largest_zero(JacobiIndex(space.alpha, space.beta, K)).t_nn
+    return _largest_zero_t(space.alpha, space.beta, K)
 
 
 def _node_count(K: int) -> int:
-    return 2 * K + 64
+    """Nodes of the tail rule for (P_K/P_K(1))^2 on [delta, 1], delta >= t_KK.
+
+    P_K has no zero on (t_KK, 1], and by Mehler-Heine P_K(1 - z^2/2K^2)
+    behaves like z^-alpha J_alpha(z).  After t = 1 - (1-delta) x the
+    integrand is therefore smooth and sign-definite on [0, 1], with Taylor
+    coefficients that fall faster than geometrically, so 128 nodes reach the
+    floor set by double-precision nodes near 1 and the P_K recurrence at
+    every K; smaller K keep 2K+64.
+    """
+    return min(2 * K + 64, 128)
 
 
 def _tail_integral_sq(space: SpaceParams, K: int, delta: float) -> float:

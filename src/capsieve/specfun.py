@@ -221,43 +221,37 @@ def euler_rayleigh_bound(idx: JacobiIndex) -> float:
 def largest_zero(idx: JacobiIndex) -> ZeroResult:
     """Largest zero t_nn of P_n^(alpha,beta), n >= 1.
 
-    Scans downward from the Euler-Rayleigh upper bound until the polynomial
-    changes sign, then bisects the bracket to width 1e-15.  The scan step
-    starts at (1 - bound)/8 and is halved on the (unreachable in exact
-    arithmetic) event that no sign change is found above -1.
+    Newton's method starts at the Euler-Rayleigh upper bound.  All zeros of
+    P_n are real, so above the largest one P_n, P_n' and P_n'' are positive
+    and Newton iterates fall monotonically onto t_nn.  The first iterate
+    where P_n <= 0 (roundoff near the zero) closes a bracket with the
+    previous one, which is bisected to width 1e-15.  The derivative is
+    P_n' = (n+alpha+beta+1)/2 * P_{n-1}^(alpha+1,beta+1).
     """
     if idx.n < 1:
         raise ValueError("degree must be >= 1")
     alpha, beta, n = idx.alpha, idx.beta, idx.n
+    fac = 0.5 * (n + alpha + beta + 1.0)
 
     def f(x: float) -> float:
         return float(_jacobi_raw(alpha, beta, n, x))
 
-    ub = euler_rayleigh_bound(idx)
-    f_ub = f(ub)
-    if f_ub <= 0.0:
+    hi = euler_rayleigh_bound(idx)
+    f_hi = f(hi)
+    if f_hi <= 0.0:
         # the bound itself sits on the zero to within roundoff (exact for n=1)
-        t = ub
-        return ZeroResult(t_nn=t, theta_n1=math.acos(t), bracket_width=0.0)
+        return ZeroResult(t_nn=hi, theta_n1=math.acos(hi), bracket_width=0.0)
 
-    h = (1.0 - ub) / 8.0
-    for _attempt in range(64):
-        hi, f_hi = ub, f_ub
-        lo = hi - h
-        found = False
-        while lo > -1.0 - h:
-            f_lo = f(max(lo, -1.0))
-            if f_lo <= 0.0:
-                found = True
-                break
-            hi, f_hi = lo, f_lo
-            lo -= h
-        if found:
-            lo = max(lo, -1.0)
+    for _step in range(200):
+        lo = hi - f_hi / (fac * float(_jacobi_raw(alpha + 1.0, beta + 1.0, n - 1, hi)))
+        if not lo < hi:  # the step fell below one ulp
+            lo = math.nextafter(hi, -math.inf)
+        f_lo = f(lo)
+        if f_lo <= 0.0:
             break
-        h *= 0.5
+        hi, f_hi = lo, f_lo
     else:  # pragma: no cover
-        raise RuntimeError("failed to bracket the largest zero")
+        raise RuntimeError("Newton iteration for the largest zero did not stop")
 
     while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
@@ -329,6 +323,12 @@ def tail_quadrature(alpha: float, beta: float, delta: float, m: int) -> Quadratu
     (1+t)^beta factor is analytic on the tail and folded into the weights.
     Weights therefore absorb the full weight function: sum_i w_i f(t_i)
     approximates the integral of f * omega.
+
+    The error depends on how smooth f(1 - (1-delta) x) is on [0, 1], not on
+    a polynomial degree of f.  For f = P_K^2 with delta >= t_KK this is a
+    squared Bessel-like profile without a zero (Mehler-Heine), so a fixed m
+    (128 for the sieve constants) reaches the floor set by rounding the
+    nodes t near 1 at every K.
     """
     if not (-1.0 <= delta < 1.0):
         raise ValueError("delta must lie in [-1, 1)")

@@ -32,12 +32,12 @@ def test_cdf_inversion_bracket_tolerance():
 
 def test_cdf_inversion_against_scipy():
     # s3 caps: density x^(1/2) (1-x)^(1/2), with x_max on both sides of the
-    # mean.  x_max = 1 is left out: there the density vanishes at the top
-    # quantile, and one ulp of the CDF moves that quantile by 1e-11.
+    # mean.  At x_max = 1 the density vanishes at the top quantile, where
+    # one ulp of B_x moves x by 1e-11 unless the complement is compared.
     special = pytest.importorskip("scipy.special")
     a = b = 1.5
     u = np.linspace(0.0, 1.0, 41)
-    for xmax in (0.01, 0.3, 0.5, 0.6, 0.8, 0.99):
+    for xmax in (0.01, 0.3, 0.5, 0.6, 0.8, 0.99, 1.0):
         x = _backend.invert_beta_tail_cdf(a, b, xmax, u)
         want = special.betaincinv(a, b, u * special.betainc(a, b, xmax))
         np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-12)

@@ -190,6 +190,32 @@ def test_table_csv(capsys):
     assert float(row["A_K"]) == cs.a_constant(cs.space_from_id("s2"), k)
 
 
+def test_table_solves_one_zero_per_row(capsys, monkeypatch):
+    from capsieve import sieve
+
+    calls = []
+
+    def counting(idx):
+        calls.append(idx)
+        return cs.largest_zero(idx)
+
+    monkeypatch.setattr(sieve, "largest_zero", counting)
+    sieve._largest_zero_t.cache_clear()
+    code, _, _ = run_cli(capsys, "table", "s2", "--K-max", "20")
+    assert code == 0
+    assert sorted(idx.n for idx in calls) == list(range(1, 21))
+
+
+@pytest.mark.parametrize("space", ["s2", "cay16"])
+def test_bound_very_large_k(capsys, space):
+    # a fixed-size tail rule: no O(K^2) matrix at K = 20000
+    code, out, _ = run_cli(capsys, "bound", space, "--K", "20000")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["quadrature_nodes"] == 128
+    assert payload["A_K"] == pytest.approx(payload["A_infinity"], rel=200 / 20000 ** 2)
+
+
 def test_table_projective_index_set(capsys):
     code, out, _ = run_cli(capsys, "table", "rp2", "--K-max", "8")
     ks = [int(line.split(",")[0]) for line in out.strip().splitlines()[1:]]

@@ -67,6 +67,28 @@ def test_a_constant_identity(family_spaces):
             assert direct == pytest.approx(composed, rel=1e-12)
 
 
+def test_t2_tail_rule_against_mpmath():
+    # 40-digit tail integral at the same delta: (P_K/P_K(1))^2 is the
+    # terminating 2F1(-K, K+alpha+beta+1; alpha+1; (1-t)/2) squared, and
+    # t = 1 - (1-delta) x turns the weight into x^alpha (2-(1-delta)x)^beta
+    mpmath = pytest.importorskip("mpmath")
+    for sid in ("s2", "s3", "cp4", "cay16", "s82"):
+        sp = cs.space_from_id(sid)
+        a, b = sp.alpha, sp.beta
+        for K in (60, 400, 1400):
+            delta = nyquist_delta(sp, K)
+            with mpmath.workdps(40):
+                w = 1 - mpmath.mpf(delta)
+
+                def f(x):
+                    return (mpmath.hyp2f1(-K, K + a + b + 1, a + 1, w * x / 2) ** 2
+                            * x ** a * (2 - w * x) ** b)
+
+                want = 1 / (sp.nu_perp * w ** (a + 1) * mpmath.quad(f, [0, 1]))
+            assert t2_constant(sp, K, delta) == pytest.approx(float(want), rel=1e-11), \
+                (sid, K)
+
+
 def test_a_constant_at_least_one(family_spaces):
     for sp in family_spaces:
         for K in (sp.index_stride, 8 * sp.index_stride):

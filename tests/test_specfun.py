@@ -323,6 +323,53 @@ def test_largest_zero_asymptotics_bounded():
         assert max(scaled) <= 4.0 * min(scaled)
 
 
+# (alpha, beta) of s2, rp2, s3, cp4, hp8, cay16, s21 and s82
+SPACE_AB = [(0.0, 0.0), (0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (3.0, 1.0),
+            (7.0, 3.0), (9.5, 9.5), (40.0, 40.0)]
+
+
+def _check_zero_bracket(idx, res):
+    # t is the rounded midpoint of the final bracket, so t -+ w enclose it
+    t, w = res.t_nn, res.bracket_width
+    assert w <= 1e-15
+    assert jacobi_eval(idx, t - w) <= 0.0 < jacobi_eval(idx, t + w)
+    above = t + (1.0 - t) * np.geomspace(1e-8, 1.0, 64)
+    assert np.all(jacobi_eval(idx, above) > 0.0)
+
+
+def test_largest_zero_against_scipy():
+    special = pytest.importorskip("scipy.special")
+    for alpha, beta in dict.fromkeys(SPACE_AB):
+        for n in (2, 3, 7, 20, 60, 150, 400, 1000, 2000):
+            idx = JacobiIndex(alpha, beta, n)
+            res = largest_zero(idx)
+            want = special.roots_jacobi(n, alpha, beta)[0].max()
+            assert abs(res.t_nn - want) <= 2e-15, (alpha, beta, n)
+            _check_zero_bracket(idx, res)
+
+
+def test_largest_zero_against_mpmath():
+    # 40-digit Newton on the normalized polynomial
+    # 2F1(-n, n+alpha+beta+1; alpha+1; (1-t)/2), started from our zero
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for alpha, beta in dict.fromkeys(SPACE_AB):
+            for n in (1400, 2000):
+                c = n + alpha + beta + 1
+
+                def f(x):
+                    return mpmath.hyp2f1(-n, c, alpha + 1, (1 - x) / 2)
+
+                def df(x):
+                    return n * c / (2 * (alpha + 1)) * mpmath.hyp2f1(
+                        1 - n, c + 1, alpha + 2, (1 - x) / 2)
+
+                res = largest_zero(JacobiIndex(alpha, beta, n))
+                want = mpmath.findroot(f, mpmath.mpf(res.t_nn), solver="newton", df=df)
+                assert abs(res.t_nn - float(want)) <= 2e-15, (alpha, beta, n)
+                _check_zero_bracket(JacobiIndex(alpha, beta, n), res)
+
+
 def test_ordering_lemma_random_points():
     rng = np.random.default_rng(31415)
     for alpha, beta in FAMILY_AB:
