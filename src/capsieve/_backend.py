@@ -12,26 +12,30 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# Incomplete beta  B_x(a,b) = x^a sum_m (1-b)_m x^m / (m! (a+m)).  Arguments
-# above the mean a/(a+b) go through the reflection B(a,b) - B_{1-x}(b,a), so
-# the series argument never exceeds max(a, b)/(a+b).
+# Incomplete beta  B_x(a,b) = x^a (1-x)^b / a * sum_m (a+b)_m / (a+1)_m x^m
+# (DLMF 8.17.8).  Every term is positive, so nothing cancels.  Arguments above
+# the mean a/(a+b) go through the reflection B(a,b) - B_{1-x}(b,a), so the
+# series argument never exceeds max(a, b)/(a+b) and the term ratio
+# x (a+b+m)/(a+1+m) stays below 1.
 # ---------------------------------------------------------------------------
 
 
-def _series_terms(x_bound: float, a: float, b: float) -> int:
-    """Terms the B_x(a,b) series needs at arguments <= x_bound.
+def _series(x: float, a: float, b: float) -> tuple[int, float]:
+    """Terms the B_x(a,b) series needs at arguments <= x, and B_x(a,b) itself.
 
-    The sum stops once the next coefficient drops below 1e-18 of the partial
-    sum; for integer b the coefficients (1-b)_m vanish from m = b on, so the
-    count is b and the series is exact.
+    The sum stops once the geometric bound on the rest, next term / (1 - r)
+    with r the larger of the current term ratio and its limit x, drops below
+    1e-17 of the partial sum.  The terms and their ratios grow with x, so the
+    count holds for every smaller argument.
     """
     s = 0.0
     p = 1.0
     for m in range(100000):
-        s += p / (a + m)
-        p *= (m + 1.0 - b) * x_bound / (m + 1.0)
-        if abs(p) <= 1e-18 * abs(s) * (a + m + 1.0):
-            return m + 1
+        s += p
+        ratio = x * (a + b + m) / (a + 1.0 + m)
+        p *= ratio
+        if p <= 1e-17 * s * (1.0 - max(ratio, x)):
+            return m + 1, s * (x**a * (1.0 - x)**b / a)
     raise RuntimeError("incomplete beta series did not converge")  # pragma: no cover
 
 
@@ -39,32 +43,23 @@ def _beta_series(x, a, b, n_terms):
     s = np.zeros_like(x)
     p = np.ones_like(x)
     for m in range(n_terms):
-        s += p / (a + m)
-        p *= (m + 1.0 - b) * x / (m + 1.0)
-    return s * x**a
+        s += p
+        p *= x * ((a + b + m) / (a + 1.0 + m))
+    return s * (x**a * (1.0 - x)**b / a)
 
 
-def incomplete_beta_on(x_lo: float, x_hi: float, a: float, b: float, bab: float):
-    """B_x(a,b) as a vectorized function of x in [x_lo, x_hi], given bab = B(a,b).
+def incomplete_beta(x: float, a: float, b: float) -> float:
+    """B_x(a,b) at one x in [0, 1].
 
-    Each branch sums the number of terms the convergence test asks for at its
-    largest argument, counted once here rather than on every evaluation.
+    Above the mean m = a/(a+b) this is B_m(a,b) + B_{1-m}(b,a) - B_{1-x}(b,a):
+    the complete integral is summed at the two means, where the terms are
+    positive, and so keeps the relative accuracy that
+    exp(lgamma(a) + lgamma(b) - lgamma(a+b)) loses (1e-13 at a = b = 41).
     """
     mean = a / (a + b)
-    n_direct = _series_terms(min(x_hi, mean), a, b) if x_lo <= mean else 0
-    n_reflected = _series_terms(1.0 - max(x_lo, mean), b, a) if x_hi > mean else 0
-
-    def beta(x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        lo = x <= mean
-        if lo.any():
-            out[lo] = _beta_series(x[lo], a, b, n_direct)
-        hi = ~lo
-        if hi.any():
-            out[hi] = bab - _beta_series(1.0 - x[hi], b, a, n_reflected)
-        return out
-
-    return beta
+    if x <= mean:
+        return _series(x, a, b)[1]
+    return _series(mean, a, b)[1] + _series(1.0 - mean, b, a)[1] - _series(1.0 - x, b, a)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -92,27 +87,28 @@ def invert_beta_tail_cdf(a: float, b: float, x_max: float,
     quantiles, where the density may vanish.
     """
     u = np.asarray(u, dtype=np.float64)
-    bab = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
     mean = a / (a + b)
     if x_max <= mean:
-        beta = incomplete_beta_on(0.0, x_max, a, b, bab)
-        target = u * float(beta(np.array([x_max]))[0])
+        n_terms, top = _series(x_max, a, b)
+        target = u * top
 
         def below(x: np.ndarray) -> np.ndarray:
-            return beta(x) < target
+            return _beta_series(x, a, b, n_terms) < target
     else:
-        beta = incomplete_beta_on(0.0, mean, a, b, bab)
-        comp = incomplete_beta_on(1.0 - x_max, 1.0 - mean, b, a, bab)
-        comp_top = float(comp(np.array([1.0 - x_max]))[0])
-        target = u * (bab - comp_top)
-        comp_target = comp_top + (1.0 - u) * (bab - comp_top)
+        # series counts at each branch's largest argument: the two means
+        n_terms, below_mean = _series(mean, a, b)
+        n_comp, above_mean = _series(1.0 - mean, b, a)
+        comp_top = _series(1.0 - x_max, b, a)[1]
+        total = below_mean + above_mean - comp_top
+        target = u * total
+        comp_target = comp_top + (1.0 - u) * total
 
         def below(x: np.ndarray) -> np.ndarray:
             out = np.empty(x.shape, dtype=bool)
             left = x <= mean
-            out[left] = beta(x[left]) < target[left]
+            out[left] = _beta_series(x[left], a, b, n_terms) < target[left]
             right = ~left
-            out[right] = comp(1.0 - x[right]) > comp_target[right]
+            out[right] = _beta_series(1.0 - x[right], b, a, n_comp) > comp_target[right]
             return out
 
     lo = np.zeros_like(u)

@@ -5,7 +5,8 @@ caps.  Membership, cap-restricted sampling, Monte Carlo intersection
 fractions, and the two suprema over cap centres live here: the maximum
 Nyquist density rho of a region and the largest cap mass of a finitely
 supported measure.  Both share one search (candidate centres, then
-spherical coordinate descent).
+spherical coordinate descent).  The density scores every centre on one cap
+sample drawn around e_0 and reflected onto the centre.
 
 Points are unit vectors in R^(d+1).  On the real projective spaces a point
 and its antipode represent the same element and the cosine distance is
@@ -40,6 +41,8 @@ __all__ = [
 
 GRID_SIZE = 4096
 REFINE_ITERS = 20
+_SEED_MASK = 0xFFFFFFFFFFFFFFFF
+_CHUNK_POINTS = 1 << 13  # moved points per region.contains call (one centre at least)
 
 
 def _as_unit(vec) -> np.ndarray:
@@ -97,14 +100,6 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _mix64(seed: int, index: int) -> int:
-    # splitmix-style mix so per-center streams are order-independent
-    x = (int(seed) ^ (int(index) * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return x ^ (x >> 31)
-
-
 _MAX_MIDPOINT_ANCHORS = 64
 _MAX_REFINED = 64
 
@@ -135,7 +130,7 @@ def candidate_centers(space: SpaceParams, anchors: np.ndarray, dim: int,
     if dim == 3:
         cands.append(_fibonacci_sphere(grid_size))
     else:
-        rng = np.random.default_rng(_mix64(seed, 0x6D5A1))
+        rng = np.random.default_rng([seed & _SEED_MASK, 0x6D5A1])
         g = rng.standard_normal((grid_size, dim))
         cands.append(g / np.linalg.norm(g, axis=1, keepdims=True))
     return np.vstack(cands)
@@ -269,52 +264,71 @@ class DensityEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _complete_directions(center: np.ndarray, g: np.ndarray) -> np.ndarray:
-    g = g - np.outer(g @ center, center)
-    nrm = np.linalg.norm(g, axis=1)
-    nrm = np.maximum(nrm, 1e-300)
-    return g / nrm[:, None]
+def _pole_sample(space: SpaceParams, delta: float, n: int, seed: int) -> np.ndarray:
+    """n points of the invariant measure restricted to the cap around e_0.
 
-
-def _points_from_t(space: SpaceParams, center: np.ndarray, t: np.ndarray,
-                   dirs: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
-    if space.family is Family.REAL_PROJECTIVE:
-        s = t * signs
-    else:
-        s = t
-    r = np.sqrt(np.maximum(0.0, 1.0 - s * s))
-    return s[:, None] * center + r[:, None] * dirs
-
-
-def sample_cap(space: SpaceParams, center, delta: float, n: int, seed: int) -> np.ndarray:
-    """n points distributed as the invariant measure restricted to a cap.
-
-    The cosine-distance coordinate is drawn by inverting the incomplete-beta
+    The cosine-distance coordinate t is drawn by inverting the incomplete-beta
     CDF of the Jacobi weight on [delta, 1] (bisection, bracket 1e-12); the
-    angular part is uniform on the orthogonal directions.  Fully
-    deterministic given the seed.
+    remaining coordinates are a uniform direction scaled to sqrt(1 - t^2).
+    On P^d(R) the sign of t is a fair coin, so both sheets of the cap are
+    covered.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (space.t_min <= delta < 1.0):
         raise ValueError(f"delta outside [{space.t_min}, 1)")
-    c = _as_unit(center)
-    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(seed & _SEED_MASK)
     u = rng.random(n)
-    g = rng.standard_normal((n, space.d + 1))
-    signs = None
-    if space.family is Family.REAL_PROJECTIVE:
-        signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    g = rng.standard_normal((n, space.d))
     x = _backend.invert_beta_tail_cdf(space.alpha + 1.0, space.beta + 1.0,
                                       (1.0 - delta) / 2.0, u)
     t = 1.0 - 2.0 * x
-    dirs = _complete_directions(c, g)
-    return _points_from_t(space, c, t, dirs, signs)
+    if space.family is Family.REAL_PROJECTIVE:
+        t *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    r = np.sqrt(np.maximum(0.0, 1.0 - t * t)) / np.linalg.norm(g, axis=1)
+    return np.column_stack([t, r[:, None] * g])
+
+
+def _pole_to(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Points moved from around e_0 to around each center, shape (m, n, d+1).
+
+    The isometry is Q_c = -s (I - 2 v v^T / |v|^2) with v = e_0 + s c and
+    s = sign(c_0) (+1 at 0): a symmetric orthogonal map with Q_c e_0 = c.
+    |v|^2 = 2 (1 + |c_0|) never cancels, and |<Q_c p, c>| = |<p, e_0>|.
+    """
+    s = np.where(centers[:, 0] < 0.0, -1.0, 1.0)
+    v = s[:, None] * centers
+    v[:, 0] += 1.0
+    coef = (2.0 / (v * v).sum(axis=1))[:, None] * (v @ pts.T)  # (m, n)
+    return -s[:, None, None] * (pts[None] - coef[:, :, None] * v[:, None, :])
+
+
+def _fractions(region: RegionSpec, centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Share of the pole sample pts inside the region once moved to each center."""
+    n = pts.shape[0]
+    step = max(1, _CHUNK_POINTS // n)
+    out = np.empty(centers.shape[0])
+    for start in range(0, centers.shape[0], step):
+        moved = _pole_to(centers[start:start + step], pts)
+        inside = region.contains(moved.reshape(-1, pts.shape[1]))
+        out[start:start + step] = np.count_nonzero(inside.reshape(-1, n), axis=1) / n
+    return out
+
+
+def sample_cap(space: SpaceParams, center, delta: float, n: int, seed: int) -> np.ndarray:
+    """n points distributed as the invariant measure restricted to a cap.
+
+    A sample around e_0 (see ``_pole_sample``) is moved to the center by a
+    reflection, so a seed gives the same points relative to every center.
+    Fully deterministic given the seed.
+    """
+    pts = _pole_sample(space, delta, n, seed)
+    return _pole_to(_as_unit(center)[None], pts)[0]
 
 
 def sample_space(space: SpaceParams, n: int, seed: int) -> np.ndarray:
     """n points from the invariant measure of the whole space."""
-    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(seed & _SEED_MASK)
     g = rng.standard_normal((n, space.d + 1))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
@@ -322,8 +336,8 @@ def sample_space(space: SpaceParams, n: int, seed: int) -> np.ndarray:
 def cap_fraction(region: RegionSpec, center, delta: float, n: int,
                  seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of |Omega intersect cap| / |cap| with its std error."""
-    pts = sample_cap(region.space, center, delta, n, seed)
-    f = float(np.count_nonzero(region.contains(pts))) / n
+    pts = _pole_sample(region.space, delta, n, seed)
+    f = float(_fractions(region, _as_unit(center)[None], pts)[0])
     return f, math.sqrt(f * (1.0 - f) / n)
 
 
@@ -332,48 +346,18 @@ def cap_fraction(region: RegionSpec, center, delta: float, n: int,
 # ---------------------------------------------------------------------------
 
 
-def _fractions_for_centers(region: RegionSpec, centers: np.ndarray, delta: float,
-                           n: int, seed: int, stream_base: int) -> np.ndarray:
-    """Fractions for many centers; per-center RNG streams, chunked evaluation."""
-    space = region.space
-    dim = space.d + 1
-    chunk = max(1, min(128, 4_000_000 // max(n, 1)))
-    a, b = space.alpha + 1.0, space.beta + 1.0
-    x_max = (1.0 - delta) / 2.0
-    out = np.empty(centers.shape[0])
-    for start in range(0, centers.shape[0], chunk):
-        stop = min(start + chunk, centers.shape[0])
-        m = stop - start
-        u = np.empty((m, n))
-        g = np.empty((m, n, dim))
-        signs = np.empty((m, n)) if space.family is Family.REAL_PROJECTIVE else None
-        for i in range(m):
-            rng = np.random.default_rng(_mix64(seed, stream_base + start + i))
-            u[i] = rng.random(n)
-            g[i] = rng.standard_normal((n, dim))
-            if signs is not None:
-                signs[i] = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        x = _backend.invert_beta_tail_cdf(a, b, x_max, u.ravel()).reshape(m, n)
-        t = 1.0 - 2.0 * x
-        for i in range(m):
-            c = centers[start + i]
-            dirs = _complete_directions(c, g[i])
-            pts = _points_from_t(space, c, t[i],
-                                 dirs, None if signs is None else signs[i])
-            out[start + i] = np.count_nonzero(region.contains(pts)) / n
-    return out
-
-
 def max_nyquist_density(region: RegionSpec, K: int, n_per_center: int,
                         seed: int, grid_size: int = GRID_SIZE) -> DensityEstimate:
-    """Estimate of the maximum Nyquist density rho(Omega, K).
+    """Monte Carlo estimate of the maximum Nyquist density rho(Omega, K).
 
     The cap parameter is the largest zero of the space's degree-K Jacobi
     polynomial.  Candidate centers are the region's cap centers, their
     pairwise midpoints, and a global grid; the best candidate is refined by
-    spherical coordinate descent with a shrinking step.  RNG streams are
-    derived per candidate, so evaluation order cannot change the result.
-    No confidence margin is added to the returned rho.
+    spherical coordinate descent with a shrinking step.  One cap sample of
+    n_per_center points is drawn per call and every center is scored on
+    the same points, moved to it by a reflection (common random numbers),
+    so the result does not depend on evaluation order.  The returned rho is
+    an estimate, not a bound: no confidence margin is added.
     """
     space = region.space
     if K < 1 or not space.in_index_set(K):
@@ -381,18 +365,11 @@ def max_nyquist_density(region: RegionSpec, K: int, n_per_center: int,
     if n_per_center < 1:
         raise ValueError(f"n_per_center must be >= 1, got {n_per_center}")
     delta = nyquist_delta(space, K)
+    pts = _pole_sample(space, delta, n_per_center, seed)
     centers = candidate_centers(space, region.cap_centers(), space.d + 1,
                                 grid_size=grid_size, seed=seed)
-    stream = 0
-
-    def score(cands: np.ndarray) -> np.ndarray:
-        nonlocal stream
-        fracs = _fractions_for_centers(region, cands, delta, n_per_center, seed,
-                                       stream_base=stream)
-        stream += cands.shape[0]
-        return fracs
-
-    best_c, best_f = _best_center(score, centers, delta, keep=1, iters=REFINE_ITERS)
+    best_c, best_f = _best_center(lambda cands: _fractions(region, cands, pts),
+                                  centers, delta, keep=1, iters=REFINE_ITERS)
     se = math.sqrt(best_f * (1.0 - best_f) / n_per_center)
     return DensityEstimate(rho=best_f, argmax_center=best_c, std_error=se,
                            n_samples=n_per_center, n_centers=int(centers.shape[0]),

@@ -76,37 +76,15 @@ class QuadratureRule:
 
 
 # ---------------------------------------------------------------------------
-# log-gamma (Lanczos, g = 7, 9 coefficients) and beta integrals
+# log-gamma and beta integrals
 # ---------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
+    """Natural log of the gamma function for x > 0 (the C library's lgamma)."""
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def beta_function(a: float, b: float) -> float:
@@ -117,20 +95,15 @@ def beta_function(a: float, b: float) -> float:
 def incomplete_beta(x: float, a: float, b: float) -> float:
     """B_x(a,b) = integral of t^(a-1) (1-t)^(b-1) over [0, x].
 
-    For x below the mean a/(a+b) the hypergeometric series of
-    x^a/a * F(a, 1-b; a+1; x) is summed directly; otherwise the value is
-    obtained through the reflection B(a,b) - B_{1-x}(b,a).
+    For x below the mean a/(a+b) the positive-term series
+    x^a (1-x)^b / a * F(a+b, 1; a+1; x) is summed directly; otherwise the
+    value is obtained through the reflection B(a,b) - B_{1-x}(b,a).
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x}")
     if not (a > 0.0 and b > 0.0):
         raise ValueError("a and b must be positive")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return beta_function(a, b)
-    beta = _backend.incomplete_beta_on(x, x, a, b, beta_function(a, b))
-    return float(beta(np.array([x]))[0])
+    return _backend.incomplete_beta(x, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def test_criterion_3_soundness_battery(s2):
     elapsed = time.perf_counter() - t0
     _report(3, "lambda_2 <= A_K (rho + 3 se) on 20 regions x K in {5,10,20}",
             n_fail == 0, f"violations={n_fail}, min slack={worst_slack:.4f}",
-            elapsed, 600.0)
+            elapsed, 60.0)
 
 
 def test_criterion_4_limit_convergence():

@@ -41,3 +41,25 @@ def test_cdf_inversion_against_scipy():
         x = _backend.invert_beta_tail_cdf(a, b, xmax, u)
         want = special.betaincinv(a, b, u * special.betainc(a, b, xmax))
         np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-12)
+
+
+def test_cdf_inversion_high_dimension_against_mpmath():
+    # s82 caps: density x^40 (1-x)^40.  An alternating incomplete-beta series
+    # cancels here and misplaced quantiles by up to 0.51; the reference is a
+    # 40-digit Newton solve, since betaincinv itself rounds near the top
+    # (betainc(41, 41, 0.9) is 1 in double precision).
+    mpmath = pytest.importorskip("mpmath")
+    special = pytest.importorskip("scipy.special")
+    a = b = 41.0
+    u = np.linspace(0.0, 0.999, 13)
+    with mpmath.workdps(40):
+        for xmax in (0.01, 0.3, 0.5, 0.6, 0.9, 1.0):
+            x = _backend.invert_beta_tail_cdf(a, b, xmax, u)
+            total = mpmath.betainc(a, b, 0, xmax)
+            for ui, xi in zip(u[1:], x[1:]):
+                target = mpmath.mpf(float(ui)) * total
+                z = mpmath.mpf(float(special.betaincinv(a, b, ui * special.betainc(a, b, xmax))))
+                for _ in range(8):
+                    z -= (mpmath.betainc(a, b, 0, z) - target) / (z ** (a - 1) * (1 - z) ** (b - 1))
+                assert abs(float(z) - xi) <= 1e-12
+            assert x[0] <= 1e-12

@@ -98,6 +98,14 @@ def test_density_deterministic_output(tmp_path, capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+    # the same on the projective plane (even K only) and on S^3
+    for space, center in (("rp2", [0.0, 1.0, 1.0]), ("s3", [0.0, 1.0, 0.0, -1.0])):
+        path.write_text(json.dumps({"space": space, "caps": [
+            {"center": center, "delta": 0.85}, {"center": [-1.0] + center[1:], "delta": 0.9}]}))
+        argv = ("density", "--region", str(path), "--K", "4", "--samples", "64",
+                "--seed", "3", "--margin")
+        outs = [run_cli(capsys, *argv)[1] for _ in range(2)]
+        assert outs[0] == outs[1] and json.loads(outs[0])["space"] == space
 
 
 def test_density_missing_region_file(capsys):
@@ -168,6 +176,17 @@ def test_bound_high_dimensional_spheres(capsys):
     code, _, err = run_cli(capsys, "bound", "s90", "--K", "10")
     assert code == 1
     assert "order must lie in" in err
+
+
+def test_bound_s82_small_k(capsys):
+    # at K = 1, t_KK = 0: the Nyquist cap is a hemisphere, of measure 1/2,
+    # and T2 = 2 (d + 1) = 166 (6 on S^2), so A_K = 83.  A cancelling incomplete-beta
+    # series printed -892.47 here.
+    code, out, _ = run_cli(capsys, "bound", "s82", "--K", "1")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["cap_measure_at_tKK"] == pytest.approx(0.5, rel=1e-12)
+    assert rep["A_K"] == pytest.approx(83.0, rel=1e-12)
 
 
 def test_json_round_trip_byte_identical(capsys):
