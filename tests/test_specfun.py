@@ -43,6 +43,15 @@ def test_log_gamma_trivial_points():
     assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-13)
 
 
+def test_log_gamma_against_stdlib():
+    # log_gamma is math.lgamma behind an x > 0 check: pin that it stays the
+    # C library's value on the positive axis (the mpmath test below checks
+    # that value itself)
+    for x in np.concatenate([np.linspace(0.5, 10, 77), np.linspace(10, 200, 97)]):
+        assert abs(log_gamma(float(x)) - math.lgamma(float(x))) <= 1e-13 * max(
+            1.0, abs(math.lgamma(float(x))))
+
+
 def test_log_gamma_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     grid = np.concatenate([np.geomspace(0.01, 3e4, 120), np.linspace(0.5, 10, 77),
