@@ -137,11 +137,10 @@ def make_space(family: Family, d: int) -> SpaceParams:
     alpha = (d - 2) / 2.0
     beta = (rho - 1) / 2.0
     if family is Family.REAL_PROJECTIVE:
-        nu_perp = math.exp(-alpha * math.log(4.0)) / beta_function(alpha + 1.0, alpha + 1.0)
+        nu_perp = 4.0 ** -alpha / beta_function(alpha + 1.0, alpha + 1.0)
         stride, interval = 2, (0.0, 1.0)
     else:
-        nu_perp = math.exp(-(alpha + beta + 1.0) * math.log(2.0)) \
-            / beta_function(alpha + 1.0, beta + 1.0)
+        nu_perp = 2.0 ** -(alpha + beta + 1.0) / beta_function(alpha + 1.0, beta + 1.0)
         stride, interval = 1, (-1.0, 1.0)
     return SpaceParams(family=family, d=d, sigma=sigma, rho=rho,
                        gamma_tag=gamma_tag, alpha=alpha, beta=beta,

@@ -151,10 +151,9 @@ def sphere_kernel(K: int, t) -> np.ndarray | float:
     return out
 
 
-def sphere_grid(n_theta: int, n_phi: int | None = None):
-    """Product quadrature on S^2, weights normalized to total mass one."""
-    if n_phi is None:
-        n_phi = 2 * n_theta
+def sphere_grid(n_theta: int):
+    """Product quadrature on S^2 (2 n_theta azimuths), weights normalized to total mass one."""
+    n_phi = 2 * n_theta
     rule = gauss_jacobi_rule(0.0, 0.0, n_theta)
     z = rule.nodes
     wz = rule.weights / 2.0
@@ -205,8 +204,7 @@ def sphere_harmonics(K: int, points: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def concentration_eigenvalue(region: RegionSpec, K: int, n_theta: int,
-                             n_phi: int | None = None) -> SpectralResult:
+def concentration_eigenvalue(region: RegionSpec, K: int, n_theta: int) -> SpectralResult:
     """Top eigenvalue of the discretized concentration operator on S^2.
 
     The operator sqrt(w_i w_j) k_K(<x_i, x_j>) on the quadrature nodes
@@ -220,7 +218,7 @@ def concentration_eigenvalue(region: RegionSpec, K: int, n_theta: int,
         raise ValueError("the spectral oracle runs on S^2 only")
     if n_theta < 2 * K + 8:
         raise ValueError("n_theta must be at least 2K + 8")
-    pts, wts = sphere_grid(n_theta, n_phi)
+    pts, wts = sphere_grid(n_theta)
     n_total = pts.shape[0]
     active = np.flatnonzero(region.contains(pts))
     summary = {"caps": len(region.caps), "complement": region.complement,

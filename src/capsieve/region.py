@@ -2,11 +2,12 @@
 
 Regions are boolean combinations (union, optional complement) of geodesic
 caps.  Membership, cap-restricted sampling, Monte Carlo intersection
-fractions, and the two suprema over cap centres live here: the maximum
-Nyquist density rho of a region and the largest cap mass of a finitely
-supported measure.  Both share one search (candidate centres, then
-spherical coordinate descent).  The density scores every centre on one cap
-sample drawn around e_0 and reflected onto the centre.
+fractions, and the two suprema over cap centres live here.  The maximum
+Nyquist density rho of a region is searched (candidate centres, then
+spherical coordinate descent) and every centre is scored on one cap sample
+drawn around e_0 and reflected onto the centre.  The largest cap mass of a
+finitely supported measure on S^2 or P^2(R) is exact: a sweep over the
+circle of centres that puts each atom on the cap boundary.
 
 Points are unit vectors in R^(d+1).  On the real projective spaces a point
 and its antipode represent the same element and the cosine distance is
@@ -48,8 +49,8 @@ _CHUNK_POINTS = 1 << 13  # moved points per region.contains call (one centre at 
 def _as_unit(vec) -> np.ndarray:
     v = np.asarray(vec, dtype=np.float64).ravel()
     nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ValueError("zero vector cannot be normalized")
+    if not 0.0 < nrm < math.inf:
+        raise ValueError("cap centers must be finite and nonzero")
     return v / nrm
 
 
@@ -75,23 +76,6 @@ def cap_contains(space: SpaceParams, center, delta: float, x) -> np.ndarray | bo
     return inside
 
 
-def _tangent_basis(c: np.ndarray) -> np.ndarray:
-    dim = c.shape[0]
-    basis = []
-    for axis in range(dim):
-        v = np.zeros(dim)
-        v[axis] = 1.0
-        v -= np.dot(v, c) * c
-        for b in basis:
-            v -= np.dot(v, b) * b
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            basis.append(v / nrm)
-        if len(basis) == dim - 1:
-            break
-    return np.array(basis)
-
-
 def _fibonacci_sphere(n: int) -> np.ndarray:
     i = np.arange(n, dtype=np.float64)
     z = 1.0 - (2.0 * i + 1.0) / n
@@ -101,17 +85,16 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
 
 
 _MAX_MIDPOINT_ANCHORS = 64
-_MAX_REFINED = 64
 
 
-def candidate_centers(space: SpaceParams, anchors: np.ndarray, dim: int,
+def candidate_centers(space: SpaceParams, anchors: np.ndarray,
                       grid_size: int = GRID_SIZE, seed: int = 0) -> np.ndarray:
     """Anchor points, their pairwise spherical midpoints, and a global grid.
 
     On S^2 the grid is a Fibonacci spiral; in other dimensions it is a
     seeded uniform point set (deterministic given the seed).  Midpoints are
-    enumerated for the first 64 anchors only so large atom sets stay
-    tractable.
+    enumerated for the first 64 anchors only, so a region file with many
+    caps keeps the candidate set small.
     """
     cands = [np.atleast_2d(anchors)] if anchors.size else []
     n_anchor = 0 if not cands else cands[0].shape[0]
@@ -127,47 +110,38 @@ def candidate_centers(space: SpaceParams, anchors: np.ndarray, dim: int,
                 mids.append(m / nrm)
     if mids:
         cands.append(np.array(mids))
-    if dim == 3:
+    if space.d == 2:
         cands.append(_fibonacci_sphere(grid_size))
     else:
         rng = np.random.default_rng([seed & _SEED_MASK, 0x6D5A1])
-        g = rng.standard_normal((grid_size, dim))
+        g = rng.standard_normal((grid_size, space.d + 1))
         cands.append(g / np.linalg.norm(g, axis=1, keepdims=True))
     return np.vstack(cands)
 
 
-def _best_center(score, candidates: np.ndarray, delta: float, keep: int,
-                 iters: int) -> tuple[np.ndarray, float]:
+def _best_center(score, candidates: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
     """Largest score over cap centers, searched from a candidate set.
 
-    The best ``keep`` candidates (ties in candidate order) are refined by
-    spherical coordinate descent: each iteration tries a step of
-    acos(delta)/2 * 0.75^it along every tangent axis of every kept center and
-    keeps strict improvements.  Returns the best center and its score.
+    The best candidate (the first on ties) is refined by spherical coordinate
+    descent: each of REFINE_ITERS iterations tries a step of
+    acos(delta)/2 * 0.75^it both ways along every tangent axis (e_1 .. e_d
+    reflected by ``_pole_to``) and keeps a strict improvement.  Returns the
+    best center and its score.
     """
     vals = score(candidates)
-    top = np.argsort(-vals, kind="stable")[:keep]
-    centers = candidates[top].copy()
-    best = vals[top].copy()
+    i = int(np.argmax(vals))
+    center, best = candidates[i], float(vals[i])
     step0 = 0.5 * math.acos(max(-1.0, min(1.0, delta)))
-    for it in range(iters):
+    for it in range(REFINE_ITERS):
         step = step0 * (0.75 ** it)
         cs, sn = math.cos(step), math.sin(step)
-        trials = []
-        for c in centers:
-            basis = _tangent_basis(c)
-            trials.append(np.vstack([cs * c + sn * v for v in basis]
-                                    + [cs * c - sn * v for v in basis]))
-        trials = np.stack(trials)  # (keep, 2(dim-1), dim)
-        tvals = score(trials.reshape(-1, trials.shape[-1])).reshape(trials.shape[0], -1)
-        arg = tvals.argmax(axis=1)
-        cand_best = tvals[np.arange(tvals.shape[0]), arg]
-        take = cand_best > best
-        if take.any():
-            centers[take] = trials[take, arg[take]]
-            best = np.maximum(best, cand_best)
-    i = int(np.argmax(best))
-    return centers[i], float(best[i])
+        axes = _pole_to(center[None], np.eye(center.shape[0]))[0, 1:]
+        trials = np.vstack([cs * center + sn * axes, cs * center - sn * axes])
+        tvals = score(trials)
+        j = int(np.argmax(tvals))
+        if tvals[j] > best:
+            center, best = trials[j], float(tvals[j])
+    return center, best
 
 
 @dataclass(frozen=True)
@@ -223,8 +197,10 @@ class RegionSpec:
                     raise ValueError(f"cap {i} has no '{key}' key")
             caps.append((np.asarray(cap["center"], dtype=np.float64),
                          float(cap["delta"])))
-        return cls(space=space, caps=tuple(caps),
-                   complement=bool(payload.get("complement", False)))
+        complement = payload.get("complement", False)
+        if not isinstance(complement, bool):
+            raise ValueError("the region's 'complement' must be true or false")
+        return cls(space=space, caps=tuple(caps), complement=complement)
 
     @classmethod
     def from_json(cls, path: str) -> "RegionSpec":
@@ -366,10 +342,9 @@ def max_nyquist_density(region: RegionSpec, K: int, n_per_center: int,
         raise ValueError(f"n_per_center must be >= 1, got {n_per_center}")
     delta = nyquist_delta(space, K)
     pts = _pole_sample(space, delta, n_per_center, seed)
-    centers = candidate_centers(space, region.cap_centers(), space.d + 1,
-                                grid_size=grid_size, seed=seed)
+    centers = candidate_centers(space, region.cap_centers(), grid_size=grid_size, seed=seed)
     best_c, best_f = _best_center(lambda cands: _fractions(region, cands, pts),
-                                  centers, delta, keep=1, iters=REFINE_ITERS)
+                                  centers, delta)
     se = math.sqrt(best_f * (1.0 - best_f) / n_per_center)
     return DensityEstimate(rho=best_f, argmax_center=best_c, std_error=se,
                            n_samples=n_per_center, n_centers=int(centers.shape[0]),
@@ -393,34 +368,51 @@ class MeasureSpec:
         w = np.asarray(self.weights, dtype=np.float64).ravel()
         if pts.shape[0] != w.shape[0]:
             raise ValueError("points and weights must have matching lengths")
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be strictly positive")
+        if not np.all((w > 0.0) & (w < math.inf)):
+            raise ValueError("weights must be finite and strictly positive")
         norms = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("points must be unit vectors")
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):  # NaN fails here too
+            raise ValueError("points must be finite unit vectors")
         object.__setattr__(self, "points", pts / norms[:, None])
         object.__setattr__(self, "weights", w)
 
 
-def measure_bound(space: SpaceParams, K: int, delta: float, mu: MeasureSpec,
-                  grid_size: int = GRID_SIZE, refine_iters: int = REFINE_ITERS) -> float:
+def measure_bound(space: SpaceParams, K: int, delta: float, mu: MeasureSpec) -> float:
     """T2(K, delta) times the largest mu-mass of any cap of parameter delta.
 
-    The sup over cap centers is searched over the atoms, their pairwise
-    midpoints and a global grid; the best 64 candidates are then refined by
-    spherical coordinate descent with a geometrically shrinking step.  Exact
-    for finitely supported mu whenever the candidate set hits an optimal
-    center; the search is deterministic.
+    Exact on S^2 and P^2(R).  Some optimal cap has an atom on its boundary
+    (Chazelle & Lee 1986), so for every atom x the centres
+    c(phi) = delta x + s (cos phi e1 + sin phi e2), s = sqrt(1 - delta^2),
+    are swept: atom y lies in the cap at c(phi) when amp cos(phi - psi) >= rhs,
+    one closed arc of the circle, and the deepest point of those arcs is the
+    best cap through x.  rhs carries a slack of 1e-12, so atoms on a boundary
+    are counted and rounding errs upward.  On P^2(R) each atom also enters
+    as its antipode; since delta >= t_KK > 0 the two never share a cap.
+    O(n^2 log n) time and O(n) memory.
     """
-    if space.family not in (Family.SPHERE, Family.REAL_PROJECTIVE):
-        raise ValueError("measures are supported on S^d and P^d(R) only")
+    if space.d != 2 or space.family not in (Family.SPHERE, Family.REAL_PROJECTIVE):
+        raise ValueError("measure bounds are exact on S^2 and P^2(R) only")
     if mu.points.shape[1] != space.d + 1:
         raise ValueError(f"points must sit in R^{space.d + 1} for {space.space_id}")
     t2 = t2_constant(space, K, delta)
-
-    def masses(centers: np.ndarray) -> np.ndarray:
-        return (cos_distance(space, centers, mu.points) >= delta) @ mu.weights
-
-    cand = candidate_centers(space, mu.points, space.d + 1, grid_size=grid_size)
-    _, best = _best_center(masses, cand, delta, keep=_MAX_REFINED, iters=refine_iters)
+    pts, wts = mu.points, mu.weights
+    if space.family is Family.REAL_PROJECTIVE:
+        pts, wts = np.vstack([pts, -pts]), np.concatenate([wts, wts])
+    s = math.sqrt(max(0.0, 1.0 - delta * delta))
+    best = 0.0
+    for x in mu.points:
+        p = pts @ _pole_to(x[None], np.eye(3))[0].T  # rows of the frame (x, e1, e2)
+        amp = s * np.hypot(p[:, 1], p[:, 2])
+        rhs = delta * (1.0 - p[:, 0]) - 1e-12
+        always = rhs <= -amp
+        arc = ~always & (rhs <= amp)
+        half = np.arccos(np.clip(rhs[arc] / amp[arc], -1.0, 1.0))
+        start = (np.arctan2(p[arc, 2], p[arc, 1]) - half) % (2.0 * math.pi)
+        end = (start + 2.0 * half) % (2.0 * math.pi)
+        closing = np.repeat([0, 1], start.size)
+        order = np.lexsort((closing, np.concatenate([start, end])))  # openings first at ties
+        steps = np.concatenate([wts[arc], -wts[arc]])[order]
+        # arcs that wrap past 2 pi are open at angle 0
+        depth = wts[arc][end < start].sum() + np.cumsum(steps).max(initial=0.0)
+        best = max(best, wts[always].sum() + depth)
     return t2 * best

@@ -88,8 +88,8 @@ def log_gamma(x: float) -> float:
 
 
 def beta_function(a: float, b: float) -> float:
-    """Complete beta integral B(a, b)."""
-    return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
+    """Complete beta integral B(a, b), the incomplete-beta series summed at the two means."""
+    return incomplete_beta(1.0, a, b)
 
 
 def incomplete_beta(x: float, a: float, b: float) -> float:

@@ -145,6 +145,10 @@ def test_density_misspelled_cap_key(tmp_path, capsys):
     ({"caps": []}, "'space' key"),
     ([1, 2], "JSON object"),
     ({"space": "s2", "caps": 5}, "'caps' must be a list"),
+    ({"space": "s2", "caps": [{"center": [float("nan"), 0.0, 1.0], "delta": 0.9}]},
+     "finite"),
+    ({"space": "s2", "complement": "false",
+      "caps": [{"center": [0.0, 0.0, 1.0], "delta": 0.9}]}, "'complement'"),
 ])
 def test_density_rejects_malformed_region_file(tmp_path, capsys, payload, message):
     path = tmp_path / "r.json"
@@ -185,7 +189,7 @@ def test_bound_s82_small_k(capsys):
     code, out, _ = run_cli(capsys, "bound", "s82", "--K", "1")
     assert code == 0
     rep = json.loads(out)
-    assert rep["cap_measure_at_tKK"] == pytest.approx(0.5, rel=1e-12)
+    assert rep["cap_measure_at_tKK"] == 0.5
     assert rep["A_K"] == pytest.approx(83.0, rel=1e-12)
 
 

@@ -179,7 +179,7 @@ def test_lp_bound_rejects_p1(s2):
 def test_measure_bound_single_atom(s2, pole):
     mu = MeasureSpec(points=pole[None, :], weights=np.array([0.7]))
     K, delta = 4, nyquist_delta(s2, 4)
-    got = measure_bound(s2, K, delta, mu, grid_size=256, refine_iters=5)
+    got = measure_bound(s2, K, delta, mu)
     assert got == pytest.approx(t2_constant(s2, K, delta) * 0.7, rel=1e-12)
 
 
@@ -187,7 +187,7 @@ def test_measure_bound_antipodal_atoms(s2, pole):
     mu = MeasureSpec(points=np.array([pole, -pole]), weights=np.array([0.4, 0.4]))
     K = 4
     delta = 0.5 * (1.0 + nyquist_delta(s2, K))  # > 0: no cap holds both atoms
-    got = measure_bound(s2, K, delta, mu, grid_size=256, refine_iters=5)
+    got = measure_bound(s2, K, delta, mu)
     assert got == pytest.approx(t2_constant(s2, K, delta) * 0.4, rel=1e-12)
 
 
@@ -196,7 +196,7 @@ def test_measure_bound_rp_antipodal_identified(rp2, pole):
     mu = MeasureSpec(points=np.array([pole, -pole]), weights=np.array([0.4, 0.4]))
     K = 4
     delta = 0.5 * (1.0 + nyquist_delta(rp2, K))
-    got = measure_bound(rp2, K, delta, mu, grid_size=256, refine_iters=5)
+    got = measure_bound(rp2, K, delta, mu)
     assert got == pytest.approx(t2_constant(rp2, K, delta) * 0.8, rel=1e-12)
 
 
@@ -211,10 +211,85 @@ def test_measure_bound_quadrature_atoms_match_a_constant(s2, pole):
     pts, wts = sphere_grid(48)
     inside = pts @ pole >= 0.5
     mu = MeasureSpec(points=pts[inside], weights=wts[inside])
-    got = measure_bound(s2, K, t_kk, mu, grid_size=512, refine_iters=10)
+    got = measure_bound(s2, K, t_kk, mu)
     # sup_y mu(C_tKK(y)) ~= |C_tKK| since the cap fits inside Omega
     want = a_constant(s2, K)
     assert got == pytest.approx(want, rel=0.08)
+
+
+def _triangle(radius, rotation):
+    az = 2.0 * math.pi * np.arange(3) / 3.0
+    pts = np.column_stack([math.sin(radius) * np.cos(az), math.sin(radius) * np.sin(az),
+                           np.full(3, math.cos(radius))])
+    return MeasureSpec(points=pts @ rotation.T, weights=np.ones(3))
+
+
+@pytest.mark.parametrize("offset, mass", [(-1e-4, 3.0), (1e-4, 2.0)])
+def test_measure_bound_triangle(s2, offset, mass):
+    # an equilateral triangle fits one Nyquist cap exactly when its
+    # circumradius is below the cap radius; the grid-and-descent search
+    # found 2 atoms below it in every orientation
+    K = 10
+    delta = nyquist_delta(s2, K)
+    t2 = t2_constant(s2, K, delta)
+    rng = np.random.default_rng(20)
+    for _ in range(30):
+        rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        mu = _triangle(math.acos(delta) + offset, rotation)
+        assert measure_bound(s2, K, delta, mu) / t2 == pytest.approx(mass, rel=1e-12)
+
+
+def _pair_enumeration_mass(space, delta, mu):
+    # O(n^3) reference: score every centre that puts two atoms (or on P^2(R)
+    # an atom and an antipode) on the cap boundary, plus one centre on the
+    # boundary circle of each atom
+    pts, w = mu.points, mu.weights
+    cands = []
+    for x in pts:
+        e = np.cross(x, [1.0, 0.0, 0.0] if abs(x[0]) < 0.9 else [0.0, 1.0, 0.0])
+        cands.append(delta * x + math.sqrt(1.0 - delta * delta) * e / np.linalg.norm(e))
+    signs = (1.0, -1.0) if space.family is cs.Family.REAL_PROJECTIVE else (1.0,)
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            for sign in signs:
+                x, y = pts[i], sign * pts[j]
+                g = float(x @ y)
+                n = np.cross(x, y)
+                gamma_sq = 1.0 - 2.0 * delta * delta / (1.0 + g) if g > -1.0 else -1.0
+                if np.linalg.norm(n) < 1e-12 or gamma_sq < 0.0:
+                    continue
+                base = delta / (1.0 + g) * (x + y)
+                step = math.sqrt(gamma_sq) * n / np.linalg.norm(n)
+                cands += [base + step, base - step]
+    dots = np.array(cands) @ pts.T
+    if space.family is cs.Family.REAL_PROJECTIVE:
+        dots = np.abs(dots)
+    return float(((dots >= delta - 1e-12) @ w).max())
+
+
+@pytest.mark.parametrize("space_id", ["s2", "rp2"])
+def test_measure_bound_matches_pair_enumeration(space_id):
+    space = cs.space_from_id(space_id)
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 17, 40):
+        for K in (2, 6):
+            t_kk = nyquist_delta(space, K)
+            for delta in (t_kk, 0.5 * (1.0 + t_kk)):
+                g = rng.standard_normal((n, 3))
+                pts = g / np.linalg.norm(g, axis=1, keepdims=True)
+                w = rng.uniform(0.1, 1.0, n) if n % 2 else np.ones(n)
+                mu = MeasureSpec(points=pts, weights=w)
+                got = measure_bound(space, K, delta, mu) / t2_constant(space, K, delta)
+                want = _pair_enumeration_mass(space, delta, mu)
+                assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("space_id", ["s3", "cp4"])
+def test_measure_bound_exact_spaces_only(space_id):
+    space = cs.space_from_id(space_id)
+    mu = MeasureSpec(points=np.eye(space.d + 1)[:1], weights=np.ones(1))
+    with pytest.raises(ValueError, match=r"S\^2 and P\^2\(R\)"):
+        measure_bound(space, 2, nyquist_delta(space, 2), mu)
 
 
 def test_measure_spec_validation():
@@ -222,6 +297,10 @@ def test_measure_spec_validation():
         MeasureSpec(points=np.array([[1.0, 0.0, 0.0]]), weights=np.array([-1.0]))
     with pytest.raises(ValueError):
         MeasureSpec(points=np.array([[2.0, 0.0, 0.0]]), weights=np.array([1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        MeasureSpec(points=np.array([[np.nan, 0.0, 1.0]]), weights=np.array([1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        MeasureSpec(points=np.array([[1.0, 0.0, 0.0]]), weights=np.array([np.nan]))
 
 
 def test_bound_report_roundtrip(s2):

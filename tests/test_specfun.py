@@ -74,6 +74,17 @@ def test_incomplete_beta_complete_case():
         assert incomplete_beta(1.0, a, b) == pytest.approx(beta_function(a, b), rel=1e-14)
 
 
+def test_beta_function_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    pairs = [(0.5, 0.5), (1.0, 1.0), (1.5, 1.5), (1.5, 0.5), (2.0, 1.0), (3.0, 2.0),
+             (4.0, 1.0), (5.0, 4.0), (8.0, 1.0), (9.0, 4.0), (11.0, 11.0),
+             (20.0, 20.5), (21.0, 21.0), (40.0, 1.0), (40.0, 2.0), (41.0, 41.0)]
+    with mpmath.workdps(40):
+        for a, b in pairs:
+            want = float(mpmath.beta(a, b))
+            assert beta_function(a, b) == pytest.approx(want, rel=2e-15, abs=0.0)
+
+
 def test_incomplete_beta_closed_forms():
     assert incomplete_beta(0.5, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
     for x in (0.1, 0.37, 0.8):
