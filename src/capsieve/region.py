@@ -185,18 +185,23 @@ class RegionSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RegionSpec":
-        if not isinstance(payload, dict) or "space" not in payload:
-            raise ValueError("a region must be a JSON object with a 'space' key")
+        if not isinstance(payload, dict) or not isinstance(payload.get("space"), str):
+            raise ValueError("a region must be a JSON object with a 'space' key naming a space")
         if not isinstance(payload.get("caps", []), list):
             raise ValueError("the region's 'caps' must be a list")
         space = space_from_id(payload["space"])
         caps = []
         for i, cap in enumerate(payload.get("caps", [])):
-            for key in ("center", "delta"):
+            fields = []
+            for key, convert in (("center", lambda v: np.asarray(v, dtype=np.float64)),
+                                 ("delta", float)):
                 if not isinstance(cap, dict) or key not in cap:
                     raise ValueError(f"cap {i} has no '{key}' key")
-            caps.append((np.asarray(cap["center"], dtype=np.float64),
-                         float(cap["delta"])))
+                try:
+                    fields.append(convert(cap[key]))
+                except (TypeError, ValueError):
+                    raise ValueError(f"cap {i} has a non-numeric '{key}'") from None
+            caps.append(tuple(fields))
         complement = payload.get("complement", False)
         if not isinstance(complement, bool):
             raise ValueError("the region's 'complement' must be true or false")

@@ -71,6 +71,9 @@ def _node_count(K: int) -> int:
 
 def _tail_integral_sq(space: SpaceParams, K: int, delta: float) -> float:
     """Integral over [delta, 1] of (P_K(t)/P_K(1))^2 against the Jacobi weight."""
+    if space.alpha > 80.0:  # 5e-12 off 40-digit mpmath at alpha = 80, 2e-10 at 100, 1e-3 at 149
+        raise ValueError(f"alpha={space.alpha:g} of {space.space_id} exceeds 80: the tail rule "
+                         "behind T2 and A_K is checked against mpmath only up to there")
     rule = tail_quadrature(space.alpha, space.beta, delta, _node_count(K))
     if K == 0:
         vals = np.ones_like(rule.nodes)
@@ -81,13 +84,13 @@ def _tail_integral_sq(space: SpaceParams, K: int, delta: float) -> float:
 
 
 def _check_delta(space: SpaceParams, K: int, delta: float) -> None:
+    if not (math.isfinite(delta) and delta < 1.0):
+        raise ValueError(f"delta must be finite and < 1, got {delta}")
     t_kk = nyquist_delta(space, K)
     if delta < t_kk - _DELTA_SLACK:
         raise ValueError(
             f"delta={delta} is below the largest Jacobi zero t_KK={t_kk:.15g}; "
             "the closed form only holds for t_KK <= delta < 1")
-    if not delta < 1.0:
-        raise ValueError("delta must be < 1")
 
 
 def t2_constant(space: SpaceParams, K: int, delta: float) -> float:
@@ -126,9 +129,9 @@ def a_infinity(space: SpaceParams) -> float:
     """
     alpha = space.alpha
     j1 = bessel_first_zero(alpha)
-    gam = math.exp(log_gamma(alpha + 1.0))
-    return (j1 / 2.0) ** (2.0 * alpha) \
-        / ((alpha + 1.0) * gam * gam * bessel_j(alpha + 1.0, j1) ** 2)
+    log_root = (alpha * math.log(j1 / 2.0) - log_gamma(alpha + 1.0)
+                - math.log(abs(bessel_j(alpha + 1.0, j1))))
+    return math.exp(2.0 * log_root) / (alpha + 1.0)
 
 
 def lp_bound(space: SpaceParams, K: int, rho: float, p: float) -> float:

@@ -7,6 +7,7 @@ kind with their first positive zero.
 
 Everything is plain double precision; gamma ratios go through log-gamma
 differences so endpoint values and norms stay finite for large degrees.
+Bessel J is one backward recurrence (Miller) for every order >= -1/2.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+@lru_cache(maxsize=128)
 def beta_function(a: float, b: float) -> float:
     """Complete beta integral B(a, b), the incomplete-beta series summed at the two means."""
     return incomplete_beta(1.0, a, b)
@@ -265,8 +267,7 @@ def _gauss_jacobi_cached(alpha: float, beta: float, m: int):
     else:
         jac = diag.reshape(1, 1)
     nodes, vecs = np.linalg.eigh(jac)
-    mu0 = math.exp((ab + 1.0) * math.log(2.0) + log_gamma(alpha + 1.0)
-                   + log_gamma(beta + 1.0) - log_gamma(ab + 2.0))
+    mu0 = 2.0 ** (ab + 1.0) * beta_function(alpha + 1.0, beta + 1.0)
     weights = mu0 * vecs[0, :] ** 2
     nodes.flags.writeable = False
     weights.flags.writeable = False
@@ -322,104 +323,75 @@ def tail_quadrature(alpha: float, beta: float, delta: float, m: int) -> Quadratu
 # Bessel J_alpha and its first positive zero
 # ---------------------------------------------------------------------------
 
-_BESSEL_SERIES_CUT = 18.0
-_BESSEL_Z_MAX = 50.0
-# covers A_infinity, which needs J_{alpha+1} at j_{alpha,1}, for alpha <= 40
-_BESSEL_ORDER_MAX = 41.0
+
+def _check_bessel_args(alpha: float, z: float = 0.0) -> None:
+    if not (math.isfinite(alpha) and alpha >= -0.5 and math.isfinite(z) and z >= 0.0):
+        raise ValueError(f"need a finite order >= -1/2 and argument >= 0, got {alpha}, {z}")
+
+
+def _bessel_pair(alpha: float, z: float) -> tuple[float, float]:
+    """(J_alpha(z), J_{alpha+1}(z)), z > 0, by Miller's algorithm (Gautschi 1967, SIAM Review 9).
+
+    f_{m-1} = 2(alpha+m)/z f_m - f_{m+1} runs down from f_n = 1 at an even
+    n = z + 3 sqrt(z) + 32, past the turning point, so it costs O(z) steps.
+    The Neumann sum (z/2)^alpha / Gamma(alpha+1) = sum_k d_k J_{alpha+2k}(z),
+    d_0 = 1, d_k = (alpha+2k) (alpha+1)_{k-1} / k!, fixes the scale; it is
+    summed in Horner form in the same pass, so no d_k is formed.
+    """
+    # J = (f / sum) e^log_norm, |f / sum| <= 1 (DLMF 10.14.4); the power and
+    # Gamma are joined in logs, and beyond e^600 f / sum is no longer normal
+    log_norm = alpha * (math.log(z) - math.log(2.0)) - log_gamma(alpha + 1.0)
+    if log_norm > 600.0:
+        raise ValueError(f"J_alpha at order {alpha}, argument {z}: (z/2)^alpha / Gamma(alpha+1) "
+                         f"= exp({log_norm:.0f}) is beyond double precision")
+    n = 2 * int(0.5 * (z + 3.0 * math.sqrt(z))) + 32
+    f_next, f, s = 0.0, 1.0, 0.0
+    for m in range(n, 0, -1):
+        if m % 2 == 0:  # m = 2k; d_k / (alpha+2k) grows by (alpha+k)/(k+1) per k
+            s = (alpha + m) * f + (2.0 * alpha + m) / (m + 2) * s
+        f_next, f = f, 2.0 * (alpha + m) / z * f - f_next
+        big = max(abs(f), abs(s))
+        if big > 1e200:  # f is inf where 2(alpha+m)/z overflows at tiny z
+            f_next, s = f_next / big, s / big
+            f = math.copysign(1.0, f) if big == abs(f) else f / big
+    norm = math.exp(log_norm)
+    return f / (f + s) * norm, f_next / (f + s) * norm
 
 
 def bessel_j(alpha: float, z: float) -> float:
-    """Bessel function of the first kind J_alpha(z) for 0 <= z <= 50.
-
-    The ascending series is summed in extended precision up to z = 18
-    (beyond which its alternating terms lose too many digits even in 80-bit
-    arithmetic); larger arguments use the Bessel integral representation
-    with the exponential correction term for non-integer order.
-    """
-    if not (-0.5 <= alpha <= _BESSEL_ORDER_MAX):
-        raise ValueError(f"order must lie in [-1/2, {_BESSEL_ORDER_MAX:g}], got {alpha}")
-    if not (0.0 <= z <= _BESSEL_Z_MAX):
-        raise ValueError(f"argument must lie in [0, {_BESSEL_Z_MAX}], got {z}")
+    """Bessel function of the first kind J_alpha(z), alpha >= -1/2, z >= 0."""
+    _check_bessel_args(alpha, z)
     if z == 0.0:
         return 1.0 if alpha == 0.0 else 0.0
-    if z <= _BESSEL_SERIES_CUT:
-        return _bessel_series(alpha, z)
-    return _bessel_integral(alpha, z)
-
-
-def _bessel_series(alpha: float, z: float) -> float:
-    half = np.longdouble(0.5) * np.longdouble(z)
-    q = half * half  # (z/2)^2
-    term = np.longdouble(math.exp(alpha * math.log(z / 2.0) - log_gamma(alpha + 1.0)))
-    total = term
-    m = np.longdouble(0.0)
-    one = np.longdouble(1.0)
-    for _ in range(400):
-        m += one
-        term = -term * q / (m * (m + np.longdouble(alpha)))
-        total += term
-        if abs(term) <= np.longdouble(1e-18) * max(abs(total), np.longdouble(1e-30)) \
-                and float(m) > z / 2.0:
-            break
-    else:  # pragma: no cover
-        raise RuntimeError("Bessel series did not terminate")
-    return float(total)
-
-
-@lru_cache(maxsize=4)
-def _gl_rule(m: int):
-    return gauss_jacobi_rule(0.0, 0.0, m)
-
-
-def _bessel_integral(alpha: float, z: float) -> float:
-    # J_a(z) = (1/pi) int_0^pi cos(z sin h - a h) dh
-    #          - sin(a pi)/pi int_0^inf exp(-z sinh s - a s) ds
-    rule = _gl_rule(512)
-    h = 0.5 * math.pi * (rule.nodes + 1.0)
-    w = 0.5 * math.pi * rule.weights
-    osc = float(np.dot(w, np.cos(z * np.sin(h) - alpha * h))) / math.pi
-
-    corr = 0.0
-    s_ap = math.sin(alpha * math.pi)
-    if s_ap != 0.0:
-        s_max = math.asinh(46.0 / z)
-        rule2 = _gl_rule(192)
-        s = 0.5 * s_max * (rule2.nodes + 1.0)
-        ws = 0.5 * s_max * rule2.weights
-        corr = s_ap / math.pi * float(np.dot(ws, np.exp(-z * np.sinh(s) - alpha * s)))
-    return osc - corr
+    return _bessel_pair(alpha, z)[0]
 
 
 def bessel_first_zero(alpha: float) -> float:
-    """Smallest positive zero j_{alpha,1}, by sign scan (step 0.05) and bisection."""
-    if not (-0.5 <= alpha <= _BESSEL_ORDER_MAX):
-        raise ValueError(f"order must lie in [-1/2, {_BESSEL_ORDER_MAX:g}], got {alpha}")
-    step = 0.05
-    z_prev = step
-    f_prev = bessel_j(alpha, z_prev)
-    z_hi = 2.0 * max(alpha, 0.0) + 20.0
-    z = z_prev + step
-    while z <= z_hi + step:
-        f = bessel_j(alpha, min(z, _BESSEL_Z_MAX))
-        if f_prev > 0.0 >= f:
-            lo, hi = z_prev, z
-            while hi - lo > 1e-13:
-                mid = 0.5 * (lo + hi)
-                if bessel_j(alpha, mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-        z_prev, f_prev = z, f
-        z += step
-    raise RuntimeError("failed to bracket the first Bessel zero")  # pragma: no cover
+    """Smallest positive zero j_{alpha,1} of J_alpha, alpha >= -1/2.
+
+    Newton's method with J_alpha' = (alpha/z) J_alpha - J_{alpha+1}, both
+    from one recurrence pass, starts at the larger of two lower bounds:
+    Rayleigh's j^4 > 16 (alpha+1)^2 (alpha+2) and, for alpha > 0,
+    j > alpha + 1.8557571 alpha^(1/3) (Qu & Wong 1999, Trans. AMS 351).
+    It stops once a step is at most 4e-16 z.
+    """
+    _check_bessel_args(alpha)
+    z = max((16.0 * (alpha + 1.0) ** 2 * (alpha + 2.0)) ** 0.25,
+            alpha + 1.8557571 * max(alpha, 0.0) ** (1.0 / 3.0))
+    for _step in range(100):
+        j0, j1 = _bessel_pair(alpha, z)
+        step = j0 / (alpha / z * j0 - j1)
+        z -= step
+        if abs(step) <= 4e-16 * z:
+            return z
+    raise RuntimeError("Newton iteration for j_{alpha,1} did not stop")  # pragma: no cover
 
 
 def mehler_heine_residual(idx: JacobiIndex, z: float) -> float:
     """|n^-alpha P_n(1 - z^2/(2 n^2)) - (2/z)^alpha J_alpha(z)|."""
-    if not (0.0 < z <= 18.0):
-        raise ValueError("z must lie in (0, 18]")
     n, alpha = idx.n, idx.alpha
+    if not (0.0 < z <= 2.0 * n):  # keeps t = 1 - z^2/(2 n^2) >= -1
+        raise ValueError(f"z must lie in (0, 2n] = (0, {2 * n}], got {z}")
     t = 1.0 - z * z / (2.0 * n * n)
     left = float(_jacobi_raw(idx.alpha, idx.beta, n, t)) * math.exp(-alpha * math.log(n))
     right = (2.0 / z) ** alpha * bessel_j(alpha, z)

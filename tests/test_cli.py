@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism, round-trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -149,6 +150,9 @@ def test_density_misspelled_cap_key(tmp_path, capsys):
      "finite"),
     ({"space": "s2", "complement": "false",
       "caps": [{"center": [0.0, 0.0, 1.0], "delta": 0.9}]}, "'complement'"),
+    ({"space": "s2", "caps": [{"center": [0.0, 0.0, 1.0], "delta": [0.9]}]}, "'delta'"),
+    ({"space": "s2", "caps": [{"center": {"a": 1}, "delta": 0.9}]}, "'center'"),
+    ({"space": 5, "caps": []}, "'space'"),
 ])
 def test_density_rejects_malformed_region_file(tmp_path, capsys, payload, message):
     path = tmp_path / "r.json"
@@ -173,13 +177,40 @@ def test_density_meta_reports_search_parameters(tmp_path, capsys):
 
 
 def test_bound_high_dimensional_spheres(capsys):
-    # A_infinity needs J_{alpha+1}: s21 has alpha + 1 = 10.5, s90 has 45
-    code, out, _ = run_cli(capsys, "bound", "s21", "--K", "10")
-    assert code == 0
-    assert json.loads(out)["A_infinity"] > 0.0
-    code, _, err = run_cli(capsys, "bound", "s90", "--K", "10")
+    # A_infinity needs J_{alpha+1}: s21 has alpha + 1 = 10.5, s90 has 45.
+    # T2 and A_K stop at alpha = 80 (s162), where the tail rule is checked.
+    for sid in ("s21", "s90", "s162"):
+        code, out, _ = run_cli(capsys, "bound", sid, "--K", "10")
+        assert code == 0, sid
+        assert json.loads(out)["A_infinity"] > 0.0
+    code, out, err = run_cli(capsys, "bound", "s164", "--K", "10")
     assert code == 1
-    assert "order must lie in" in err
+    assert out == ""
+    assert "alpha=81" in err
+
+
+def test_limit_high_orders(capsys):
+    # (j/2)^(2 alpha) alone overflows from alpha = 91 (s184)
+    for sid in ("s90", "s184", "s400"):
+        code, out, _ = run_cli(capsys, "limit", sid)
+        assert code == 0, sid
+        assert math.isfinite(json.loads(out)["A_infinity"])
+
+
+def test_table_beyond_checked_tail_rule(capsys):
+    # at alpha = 149 the tail rule is 1e-3 off a 40-digit integral
+    code, out, err = run_cli(capsys, "table", "s300", "--K-max", "60")
+    assert code == 1
+    assert out == ""
+    assert "alpha=149" in err
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_bound_rejects_non_finite_delta(capsys, delta):
+    code, out, err = run_cli(capsys, "bound", "s2", "--K", "5", "--delta", delta)
+    assert code == 1
+    assert out == ""
+    assert "delta must be finite" in err
 
 
 def test_bound_s82_small_k(capsys):

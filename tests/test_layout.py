@@ -1,4 +1,5 @@
-"""Package layout: each private helper has one home and is not imported by siblings."""
+"""Package layout: each private helper has one home and is not imported by
+siblings, and all arithmetic is plain double precision."""
 
 import ast
 from pathlib import Path
@@ -23,4 +24,12 @@ def test_no_private_names_imported_from_siblings():
     modules = sorted(SRC.glob("*.py"))
     assert modules, f"no modules found under {SRC}"
     offenders = [hit for path in modules for hit in _private_sibling_imports(path)]
+    assert offenders == []
+
+
+def test_plain_double_precision():
+    # extended precision is 80-bit on some platforms and 64-bit on others
+    offenders = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
+                 for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                 if "longdouble" in line or "float128" in line]
     assert offenders == []

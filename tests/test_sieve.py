@@ -130,6 +130,28 @@ def test_a_infinity_high_alpha_against_mpmath():
         assert a_infinity(sp) == pytest.approx(want, rel=1e-12)
 
 
+def test_a_infinity_orders_44_to_80_against_mpmath():
+    # beyond the old order limit of 41: s90 has alpha = 44, s162 and cp162 80
+    import mpmath
+
+    for sid in ("s90", "s122", "s162", "cp162"):
+        sp = cs.space_from_id(sid)
+        a = sp.alpha
+        with mpmath.workdps(30):
+            j = mpmath.besseljzero(a, 1)
+            want = float((j / 2) ** (2 * a) / ((a + 1) * mpmath.gamma(a + 1) ** 2
+                                               * mpmath.besselj(a + 1, j) ** 2))
+        assert a_infinity(sp) == pytest.approx(want, rel=1e-12), sid
+
+
+def test_tail_constants_stop_at_alpha_80():
+    sp = cs.space_from_id("s164")
+    with pytest.raises(ValueError, match="alpha=81"):
+        a_constant(sp, 4)
+    with pytest.raises(ValueError, match="alpha=81"):
+        t2_constant(sp, 4, nyquist_delta(sp, 4))
+
+
 def test_a_infinity_beta_independent(s2, rp2):
     # the limit depends on alpha only: rp2 and s2 share alpha = 0
     assert a_infinity(rp2) == pytest.approx(a_infinity(s2), rel=1e-13)

@@ -435,6 +435,17 @@ def test_gauss_jacobi_zeroth_moment():
             assert np.all(np.abs(rule.nodes) < 1.0)
 
 
+def test_gauss_jacobi_zeroth_moment_against_mpmath():
+    # the weights sum to mu0 = 2^(a+b+1) B(a+1, b+1); exp of a log-gamma sum
+    # was 1.6e-14 off at (20, 20)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for alpha, beta in [(20.0, 20.0), (39.0, 0.0), (0.0, 80.0), (80.0, 80.0), (0.5, 0.5)]:
+            want = float(2 ** mpmath.mpf(alpha + beta + 1) * mpmath.beta(alpha + 1, beta + 1))
+            got = float(gauss_jacobi_rule(alpha, beta, 64).weights.sum())
+            assert got == pytest.approx(want, rel=5e-15, abs=0.0), (alpha, beta)
+
+
 def test_gauss_jacobi_against_numpy_leggauss():
     nodes, weights = np.polynomial.legendre.leggauss(17)
     rule = gauss_jacobi_rule(0.0, 0.0, 17)
@@ -510,14 +521,16 @@ def test_bessel_frozen_reference_values():
 
 
 def test_bessel_domain():
-    with pytest.raises(ValueError):
-        bessel_j(0.0, 51.0)
-    with pytest.raises(ValueError):
-        bessel_j(41.5, 1.0)
-    with pytest.raises(ValueError):
-        bessel_j(0.0, -1.0)
-    with pytest.raises(ValueError):
-        bessel_first_zero(41.5)
+    # every order >= -1/2 and argument >= 0 is valid: z = 51 and order 41.5 are inputs
+    assert abs(bessel_j(0.0, 51.0)) < 1.0
+    assert bessel_first_zero(41.5) > 41.5
+    for alpha, z in [(0.0, -1.0), (-0.6, 1.0), (math.nan, 1.0), (0.0, math.nan),
+                     (math.inf, 1.0), (0.0, math.inf)]:
+        with pytest.raises(ValueError):
+            bessel_j(alpha, z)
+    for alpha in (-0.6, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            bessel_first_zero(alpha)
 
 
 def test_bessel_high_orders_against_mpmath():
@@ -532,6 +545,51 @@ def test_bessel_high_orders_against_mpmath():
         for alpha in (10.5, 20.0, 33.5, 41.0):
             want = float(mpmath.besseljzero(alpha, 1))
             assert bessel_first_zero(alpha) == pytest.approx(want, abs=1e-11)
+
+
+def test_bessel_orders_41_to_80_against_mpmath():
+    # A_infinity of s84 .. s162 and cp84 .. cp162 needs J_{alpha+1} near j_{alpha,1}
+    import mpmath
+
+    with mpmath.workdps(30):
+        for alpha in np.arange(41.5, 80.01, 3.5):
+            for z in np.linspace(0.5, 1.2 * alpha + 60.0, 25):
+                want = float(mpmath.besselj(alpha, z))
+                assert abs(bessel_j(float(alpha), float(z)) - want) <= 2e-14, (alpha, z)
+
+
+def test_bessel_extreme_arguments():
+    # the recurrence must start past z + O(sqrt z): z + sqrt z + 32 was 1e-9 off at z = 1000
+    import mpmath
+
+    with mpmath.workdps(30):
+        for alpha in (0.0, 10.0):
+            for z in (200.0, 1000.0, 3000.0):
+                want = float(mpmath.besselj(alpha, z))
+                assert abs(bessel_j(alpha, z) - want) <= 1e-15, (alpha, z)
+    # at tiny z the coefficient 2(alpha+m)/z overflows; J_{1/2}(z) = sqrt(2z/pi) (1 + O(z^2))
+    for z in (1e-300, 5e-324):
+        assert bessel_j(0.5, z) == pytest.approx(math.sqrt(2.0 * z / math.pi), rel=1e-13)
+        assert bessel_j(0.0, z) == 1.0
+        assert bessel_j(3.0, z) == 0.0
+    # near j_{1800,1} the Neumann sum outgrows f by e^550, so it is rescaled too
+    with mpmath.workdps(30):
+        assert abs(bessel_j(1800.0, 1830.0) - float(mpmath.besselj(1800, 1830))) <= 1e-12
+        assert abs(mpmath.besselj(1800, bessel_first_zero(1800.0))) <= 1e-14
+    # J_1000(1500) ~ 0.02, but its normaliser (750)^1000 / 1000! is e^708: no silent 0
+    with pytest.raises(ValueError, match="beyond double precision"):
+        bessel_j(1000.0, 1500.0)
+
+
+def test_bessel_first_zero_against_mpmath():
+    import mpmath
+
+    with mpmath.workdps(30):
+        for alpha in (0.0, 0.25, 1.0, 7.0, 19.5, 44.0, 80.0, 91.0, 150.0):
+            want = float(mpmath.besseljzero(alpha, 1))
+            assert bessel_first_zero(alpha) == pytest.approx(want, rel=1e-14), alpha
+        # j_{-1/2,1} = pi/2: J_{-1/2}(z) = sqrt(2/(pi z)) cos z
+        assert bessel_first_zero(-0.5) == pytest.approx(0.5 * math.pi, rel=1e-14)
 
 
 def test_bessel_first_zero_values():
@@ -568,6 +626,15 @@ def test_mehler_heine_convergence_in_n():
 def test_mehler_heine_alpha0_small_z():
     # for alpha = 0 the limit at z -> 0+ approaches |P_n(~1) - 1|, tiny
     assert mehler_heine_residual(JacobiIndex(0, 0, 50), 1e-3) <= 1e-5
+
+
+def test_mehler_heine_domain():
+    # t = 1 - z^2/(2 n^2) stays in [-1, 1] exactly for 0 < z <= 2n
+    idx = JacobiIndex(0, 0, 8)
+    assert mehler_heine_residual(idx, 16.0) >= 0.0
+    for z in (0.0, 17.0):
+        with pytest.raises(ValueError, match="2n"):
+            mehler_heine_residual(idx, z)
 
 
 def test_mehler_heine_empirical_rate():
