@@ -43,6 +43,7 @@ from .sieve import (
     a_constant,
     a_infinity,
     bound_report,
+    constants_table,
     lp_bound,
     nyquist_delta,
     t2_constant,
@@ -58,6 +59,7 @@ from .specfun import (
     jacobi_at_one,
     jacobi_derivative,
     jacobi_eval,
+    jacobi_eval_rows,
     jacobi_norm_sq,
     largest_zero,
     log_gamma,
@@ -69,15 +71,16 @@ __all__ = [
     "__version__",
     # specfun
     "JacobiIndex", "ZeroResult", "QuadratureRule",
-    "jacobi_eval", "jacobi_at_one", "jacobi_derivative", "jacobi_norm_sq",
-    "largest_zero", "gauss_jacobi_rule", "tail_quadrature", "log_gamma",
-    "incomplete_beta", "bessel_j", "bessel_first_zero", "mehler_heine_residual",
+    "jacobi_eval", "jacobi_eval_rows", "jacobi_at_one", "jacobi_derivative",
+    "jacobi_norm_sq", "largest_zero", "gauss_jacobi_rule", "tail_quadrature",
+    "log_gamma", "incomplete_beta", "bessel_j", "bessel_first_zero",
+    "mehler_heine_residual",
     # manifold
     "Family", "SpaceParams", "EigenspaceInfo", "make_space", "space_from_id",
     "eigenspace_info", "cap_measure", "zonal_coefficient",
     # sieve
     "BoundReport", "t2_constant", "a_constant", "a_infinity",
-    "lp_bound", "bound_report", "nyquist_delta",
+    "lp_bound", "bound_report", "constants_table", "nyquist_delta",
     # region
     "RegionSpec", "DensityEstimate", "MeasureSpec", "cap_contains", "sample_cap",
     "sample_space", "cap_fraction", "max_nyquist_density", "measure_bound",

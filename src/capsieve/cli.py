@@ -31,7 +31,14 @@ from .oracle import (
     ordering_check,
 )
 from .region import GRID_SIZE, REFINE_ITERS, RegionSpec, max_nyquist_density
-from .sieve import a_constant, a_infinity, bound_report, nyquist_delta, t2_constant
+from .sieve import (
+    a_constant,
+    a_infinity,
+    bound_report,
+    constants_table,
+    nyquist_delta,
+    t2_constant,
+)
 from .specfun import JacobiIndex, bessel_first_zero, euler_rayleigh_bound, largest_zero
 
 _EXIT_OK = 0
@@ -143,17 +150,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_table(args) -> int:
     space = space_from_id(args.space)
-    rows = []
-    for k in space.index_set(args.K_max):
-        if k < 1:
-            continue
-        t_kk = nyquist_delta(space, k)
-        rows.append({
-            "K": k,
-            "t_KK": t_kk,
-            "T2": t2_constant(space, k, t_kk),
-            "A_K": a_constant(space, k),
-        })
+    rows = constants_table(space, args.K_max)
     if args.format == "json":
         _emit_json({"space": space.space_id, "rows": rows, "meta": _meta()})
     else:

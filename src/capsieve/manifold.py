@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -136,11 +137,16 @@ def make_space(family: Family, d: int) -> SpaceParams:
 
     alpha = (d - 2) / 2.0
     beta = (rho - 1) / 2.0
+    # on real projective spaces beta == alpha too
+    b = beta_function(alpha + 1.0, beta + 1.0)
+    if b < sys.float_info.min:  # subnormal from s1020 on, 0 from about s1100
+        raise ValueError(f"{_PREFIX_OF[family]}{d} (alpha={alpha:g}): B(alpha+1, beta+1) = {b:g} "
+                         "is below the normal double range, so nu_perp cannot be formed")
     if family is Family.REAL_PROJECTIVE:
-        nu_perp = 4.0 ** -alpha / beta_function(alpha + 1.0, alpha + 1.0)
+        nu_perp = 4.0 ** -alpha / b
         stride, interval = 2, (0.0, 1.0)
     else:
-        nu_perp = 2.0 ** -(alpha + beta + 1.0) / beta_function(alpha + 1.0, beta + 1.0)
+        nu_perp = 2.0 ** -(alpha + beta + 1.0) / b
         stride, interval = 1, (-1.0, 1.0)
     return SpaceParams(family=family, d=d, sigma=sigma, rho=rho,
                        gamma_tag=gamma_tag, alpha=alpha, beta=beta,

@@ -22,7 +22,7 @@ from .specfun import (
     bessel_j,
     incomplete_beta,
     jacobi_at_one,
-    jacobi_eval,
+    jacobi_eval_rows,
     largest_zero,
     log_gamma,
     tail_quadrature,
@@ -35,6 +35,7 @@ __all__ = [
     "a_infinity",
     "lp_bound",
     "bound_report",
+    "constants_table",
     "nyquist_delta",
 ]
 
@@ -69,18 +70,38 @@ def _node_count(K: int) -> int:
     return min(2 * K + 64, 128)
 
 
-def _tail_integral_sq(space: SpaceParams, K: int, delta: float) -> float:
-    """Integral over [delta, 1] of (P_K(t)/P_K(1))^2 against the Jacobi weight."""
+def _tail_integral_sq(space: SpaceParams, ks, deltas) -> list[float]:
+    """Integrals over [delta_i, 1] of (P_{K_i}(t)/P_{K_i}(1))^2 against the Jacobi weight.
+
+    ``ks`` is nondecreasing.  All rows share one pass of the recurrence over
+    a (rows x nodes) array of at most 128 columns; a row with fewer nodes is
+    padded, and its integral is the dot product over its own nodes, so every
+    row sums exactly as a one-row call would.
+    """
     if space.alpha > 80.0:  # 5e-12 off 40-digit mpmath at alpha = 80, 2e-10 at 100, 1e-3 at 149
         raise ValueError(f"alpha={space.alpha:g} of {space.space_id} exceeds 80: the tail rule "
                          "behind T2 and A_K is checked against mpmath only up to there")
-    rule = tail_quadrature(space.alpha, space.beta, delta, _node_count(K))
-    if K == 0:
-        vals = np.ones_like(rule.nodes)
-    else:
-        pk1 = jacobi_at_one(JacobiIndex(space.alpha, space.beta, K))
-        vals = (jacobi_eval(JacobiIndex(space.alpha, space.beta, K), rule.nodes) / pk1) ** 2
-    return float(np.dot(rule.weights, vals))
+    alpha, beta = space.alpha, space.beta
+    counts = [_node_count(k) for k in ks]
+    nodes = np.zeros((len(ks), max(counts)))
+    weights = np.zeros_like(nodes)
+    for i, (m, delta) in enumerate(zip(counts, deltas)):
+        rule = tail_quadrature(alpha, beta, delta, m)
+        nodes[i, :m], weights[i, :m] = rule.nodes, rule.weights
+    vals = np.ones_like(nodes)  # P_0 = 1
+    first = int(np.searchsorted(ks, 1))
+    if first < len(ks):
+        pk1 = np.array([jacobi_at_one(JacobiIndex(alpha, beta, k)) for k in ks[first:]])
+        pk = jacobi_eval_rows(alpha, beta, ks[first:], nodes[first:])
+        vals[first:] = (pk / pk1[:, None]) ** 2
+    return [float(np.dot(w[:m], v[:m])) for w, v, m in zip(weights, vals, counts)]
+
+
+def _cap_integral(space: SpaceParams, delta: float) -> float:
+    """Integral over [delta, 1] of the Jacobi weight, 2^(alpha+beta+1) B_{(1-delta)/2}."""
+    alpha, beta = space.alpha, space.beta
+    return 2.0 ** (alpha + beta + 1.0) * incomplete_beta((1.0 - delta) / 2.0,
+                                                         alpha + 1.0, beta + 1.0)
 
 
 def _check_delta(space: SpaceParams, K: int, delta: float) -> None:
@@ -100,7 +121,7 @@ def t2_constant(space: SpaceParams, K: int, delta: float) -> float:
     normalized degree-K Jacobi polynomial.  Requires t_KK <= delta < 1.
     """
     _check_delta(space, K, delta)
-    return 1.0 / (space.nu_perp * _tail_integral_sq(space, K, delta))
+    return 1.0 / (space.nu_perp * _tail_integral_sq(space, [K], [delta])[0])
 
 
 def a_constant(space: SpaceParams, K: int) -> float:
@@ -112,10 +133,25 @@ def a_constant(space: SpaceParams, K: int) -> float:
     if K < 1 or not space.in_index_set(K):
         raise ValueError(f"K must be >= 1 and in the index set of {space.space_id}")
     t_kk = nyquist_delta(space, K)
-    alpha, beta = space.alpha, space.beta
-    num = 2.0 ** (alpha + beta + 1.0) * incomplete_beta((1.0 - t_kk) / 2.0,
-                                                        alpha + 1.0, beta + 1.0)
-    return num / _tail_integral_sq(space, K, t_kk)
+    return _cap_integral(space, t_kk) / _tail_integral_sq(space, [K], [t_kk])[0]
+
+
+def constants_table(space: SpaceParams, K_max: int) -> list[dict]:
+    """Rows {K, t_KK, T2, A_K} for every K in 1..K_max of the space's index set.
+
+    T2 is taken at delta = t_KK, and each row's T2 and A_K share one tail
+    integral; all rows share one pass of the Jacobi recurrence.
+    """
+    stride = space.index_stride
+    if K_max < stride:
+        raise ValueError(f"K_max={K_max} leaves no K >= 1 in the index set of "
+                         f"{space.space_id}; the smallest admissible K_max is {stride}")
+    ks = list(range(stride, K_max + 1, stride))
+    t_kks = [nyquist_delta(space, k) for k in ks]
+    tails = _tail_integral_sq(space, ks, t_kks)
+    return [{"K": k, "t_KK": t_kk, "T2": 1.0 / (space.nu_perp * tail),
+             "A_K": _cap_integral(space, t_kk) / tail}
+            for k, t_kk, tail in zip(ks, t_kks, tails)]
 
 
 def a_infinity(space: SpaceParams) -> float:
@@ -196,14 +232,18 @@ def bound_report(space: SpaceParams, K: int, delta: float | None = None) -> Boun
     t_kk = nyquist_delta(space, K)
     if delta is None:
         delta = t_kk
+    _check_delta(space, K, delta)
+    # one tail integral serves T2 and A_K unless delta moves off t_KK
+    deltas = [t_kk] if delta == t_kk else [t_kk, delta]
+    tails = _tail_integral_sq(space, [K] * len(deltas), deltas)
     return BoundReport(
         space=space,
         K=K,
         delta=delta,
         t_KK=t_kk,
-        T2=t2_constant(space, K, delta),
+        T2=1.0 / (space.nu_perp * tails[-1]),
         cap_measure_at_tKK=cap_measure(space, t_kk),
-        A_K=a_constant(space, K) if K >= 1 else 1.0,
+        A_K=_cap_integral(space, t_kk) / tails[0] if K >= 1 else 1.0,
         A_infinity=a_infinity(space),
         quadrature_nodes=_node_count(K),
     )

@@ -25,6 +25,7 @@ __all__ = [
     "ZeroResult",
     "QuadratureRule",
     "jacobi_eval",
+    "jacobi_eval_rows",
     "jacobi_at_one",
     "jacobi_derivative",
     "jacobi_norm_sq",
@@ -120,21 +121,41 @@ def _check_t(t):
     return np.clip(arr, -1.0, 1.0)
 
 
-def _jacobi_raw(alpha: float, beta: float, n: int, t):
-    """Upward three-term recurrence; t may be scalar or ndarray."""
+def _jacobi_raw(alpha: float, beta: float, n, t):
+    """Upward three-term recurrence.
+
+    Either n is one degree and t a scalar or an ndarray, or n is a
+    nondecreasing sequence of degrees >= 1, one per row of a 2-D t.  Row i
+    is then taken when the recurrence reaches n[i], and finished rows leave
+    the arithmetic, so one pass costs sum(n) * t.shape[1] steps.
+    """
     ab = alpha + beta
-    if n == 0:
-        return np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+    if isinstance(n, (int, np.integer)):
+        if n == 0:
+            return np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+        stops, counts, out = (n,), (1,), None
+    else:
+        if np.ndim(t) != 2 or len(n) != len(t) or n[0] < 1 or np.any(np.diff(n) < 0):
+            raise ValueError("degrees must be >= 1, nondecreasing and one per row of a 2-D t")
+        stops, counts = np.unique(n, return_counts=True)
+        out = np.empty_like(t)
     pm = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
     pc = 0.5 * ((ab + 2.0) * t + (alpha - beta))
-    for k in range(1, n):
-        tmp = 2.0 * k + ab
-        den = 2.0 * (k + 1.0) * (k + ab + 1.0)
-        a_k = (tmp + 1.0) * (tmp + 2.0) / den
-        b_k = (alpha * alpha - beta * beta) * (tmp + 1.0) / (den * tmp)
-        c_k = (k + alpha) * (k + beta) * (tmp + 2.0) / (0.5 * den * tmp)
-        pm, pc = pc, (a_k * t + b_k) * pc - c_k * pm
-    return pc
+    start, done = 1, 0
+    for stop, count in zip(stops, counts):
+        for k in range(start, stop):
+            tmp = 2.0 * k + ab
+            den = 2.0 * (k + 1.0) * (k + ab + 1.0)
+            a_k = (tmp + 1.0) * (tmp + 2.0) / den
+            b_k = (alpha * alpha - beta * beta) * (tmp + 1.0) / (den * tmp)
+            c_k = (k + alpha) * (k + beta) * (tmp + 2.0) / (0.5 * den * tmp)
+            pm, pc = pc, (a_k * t + b_k) * pc - c_k * pm
+        if out is None:
+            return pc
+        out[done:done + count] = pc[:count]
+        pm, pc, t = pm[count:], pc[count:], t[count:]
+        start, done = stop, done + count
+    return out
 
 
 def jacobi_eval(idx: JacobiIndex, t):
@@ -144,6 +165,15 @@ def jacobi_eval(idx: JacobiIndex, t):
     if np.isscalar(t) or np.ndim(t) == 0:
         return float(out)
     return out
+
+
+def jacobi_eval_rows(alpha: float, beta: float, degrees, t) -> np.ndarray:
+    """P_{n_i}^(alpha,beta) on row i of a 2-D t in [-1, 1], all rows in one recurrence pass.
+
+    ``degrees`` holds one degree n_i >= 1 per row, in nondecreasing order.
+    Each row equals jacobi_eval of its own degree bit for bit.
+    """
+    return _jacobi_raw(alpha, beta, degrees, _check_t(t))
 
 
 def jacobi_at_one(idx: JacobiIndex) -> float:
@@ -245,7 +275,7 @@ def largest_zero(idx: JacobiIndex) -> ZeroResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1024)  # a table uses 32 node counts, 2K+64 for K <= 32, per family
 def _gauss_jacobi_cached(alpha: float, beta: float, m: int):
     ab = alpha + beta
     diag = np.empty(m)

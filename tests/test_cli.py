@@ -197,6 +197,18 @@ def test_limit_high_orders(capsys):
         assert math.isfinite(json.loads(out)["A_infinity"])
 
 
+def test_limit_beyond_normal_beta_function(capsys):
+    # B(alpha+1, beta+1) is subnormal from s1020 on and 0 from about s1100
+    for sid, alpha in (("s1030", 514), ("s1500", 749)):
+        code, out, err = run_cli(capsys, "limit", sid)
+        assert code == 1
+        assert out == ""
+        assert f"{sid} (alpha={alpha})" in err and "below the normal double range" in err
+    code, out, _ = run_cli(capsys, "limit", "s1000")
+    assert code == 0
+    assert math.isfinite(json.loads(out)["A_infinity"])
+
+
 def test_table_beyond_checked_tail_rule(capsys):
     # at alpha = 149 the tail rule is 1e-3 off a 40-digit integral
     code, out, err = run_cli(capsys, "table", "s300", "--K-max", "60")
@@ -258,6 +270,30 @@ def test_table_solves_one_zero_per_row(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "table", "s2", "--K-max", "20")
     assert code == 0
     assert sorted(idx.n for idx in calls) == list(range(1, 21))
+
+
+def test_table_runs_one_batched_recurrence(capsys, monkeypatch):
+    from capsieve import sieve
+
+    calls = []
+
+    def counting(alpha, beta, degrees, t):
+        calls.append(list(degrees))
+        return cs.jacobi_eval_rows(alpha, beta, degrees, t)
+
+    monkeypatch.setattr(sieve, "jacobi_eval_rows", counting)
+    code, _, _ = run_cli(capsys, "table", "s2", "--K-max", "20")
+    assert code == 0
+    assert calls == [list(range(1, 21))]
+
+
+@pytest.mark.parametrize("space,k_max,smallest", [("s2", "0", 1), ("s2", "-3", 1),
+                                                  ("rp2", "1", 2)])
+def test_table_without_positive_k(capsys, space, k_max, smallest):
+    code, out, err = run_cli(capsys, "table", space, "--K-max", k_max)
+    assert code == 1
+    assert out == ""
+    assert f"smallest admissible K_max is {smallest}" in err
 
 
 @pytest.mark.parametrize("space", ["s2", "cay16"])

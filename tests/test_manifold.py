@@ -63,6 +63,22 @@ def test_admissibility_rejections():
             make_space(family, d)
 
 
+def test_nu_perp_at_the_edge_of_double_range():
+    mpmath = pytest.importorskip("mpmath")
+    for sid in ("s1000", "s1018", "rp1018"):
+        sp = space_from_id(sid)
+        a = mpmath.mpf(sp.d - 2) / 2
+        with mpmath.workdps(40):
+            want = float(2 ** -(2 * a + 1) / mpmath.beta(a + 1, a + 1))
+        if sp.family is Family.REAL_PROJECTIVE:
+            want *= 2.0
+        assert sp.nu_perp == pytest.approx(want, rel=5e-15), sid
+    # from s1020 on B(alpha+1, beta+1) is subnormal: an 8e-12 error at s1030
+    for sid in ("s1020", "rp1030", "s1100", "s2000"):
+        with pytest.raises(ValueError, match=r"\(alpha=\d+\).*normal double range"):
+            space_from_id(sid)
+
+
 def test_space_id_round_trip():
     for sid in ("s2", "s3", "rp2", "cp4", "hp8", "cay16"):
         assert space_from_id(sid).space_id == sid

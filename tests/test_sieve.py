@@ -8,8 +8,9 @@ import pytest
 
 import capsieve as cs
 from capsieve.region import MeasureSpec, measure_bound
-from capsieve.sieve import a_constant, a_infinity, bound_report, lp_bound, \
-    nyquist_delta, t2_constant
+from capsieve.sieve import a_constant, a_infinity, bound_report, constants_table, \
+    lp_bound, nyquist_delta, t2_constant
+from capsieve.specfun import _gauss_jacobi_cached
 
 
 def test_t2_hemisphere_closed_form(s2):
@@ -150,6 +151,36 @@ def test_tail_constants_stop_at_alpha_80():
         a_constant(sp, 4)
     with pytest.raises(ValueError, match="alpha=81"):
         t2_constant(sp, 4, nyquist_delta(sp, 4))
+
+
+@pytest.mark.parametrize("space_id", ["s2", "rp2", "s3", "cp4", "hp8", "cay16", "s82"])
+def test_constants_table_rows_equal_single_constants(space_id):
+    sp = cs.space_from_id(space_id)
+    rows = constants_table(sp, 90)
+    assert [r["K"] for r in rows] == list(sp.index_set(90))[1:]
+    for r in rows:
+        k = r["K"]
+        assert r["t_KK"] == nyquist_delta(sp, k)
+        assert r["T2"] == t2_constant(sp, k, r["t_KK"])
+        assert r["A_K"] == a_constant(sp, k)
+
+
+def test_constants_table_needs_a_positive_k(s2, rp2):
+    for sp, k_max, smallest in ((s2, 0, 1), (s2, -3, 1), (rp2, 1, 2)):
+        with pytest.raises(ValueError, match=f"smallest admissible K_max is {smallest}$"):
+            constants_table(sp, k_max)
+    assert [r["K"] for r in constants_table(rp2, 2)] == [2]
+
+
+def test_gauss_jacobi_cache_holds_five_tables():
+    # 2K+64 nodes for K <= 32 gives each family 32 rules, 160 for five
+    spaces = [cs.space_from_id(sid) for sid in ("s2", "cp4", "hp8", "cay16", "s3")]
+    for sp in spaces:
+        constants_table(sp, 40)
+    misses = _gauss_jacobi_cached.cache_info().misses
+    for sp in spaces:
+        constants_table(sp, 40)
+    assert _gauss_jacobi_cached.cache_info().misses == misses
 
 
 def test_a_infinity_beta_independent(s2, rp2):
@@ -337,3 +368,18 @@ def test_bound_report_roundtrip(s2):
     assert rep.p_exponent(1.5) == pytest.approx(0.5)
     assert rep.p_exponent(7.0) == 1.0
     json.dumps(payload)  # serializable
+
+
+def test_bound_report_shares_the_tail_integral(monkeypatch, s2):
+    from capsieve import sieve
+
+    t_kk = nyquist_delta(s2, 6)
+    want = {d: (t2_constant(s2, 6, d), a_constant(s2, 6)) for d in (t_kk, 0.99)}
+    real, deltas = sieve.tail_quadrature, []
+    monkeypatch.setattr(sieve, "tail_quadrature",
+                        lambda a, b, delta, m: deltas.append(delta) or real(a, b, delta, m))
+    for delta, rules in ((None, [t_kk]), (0.99, [t_kk, 0.99])):
+        deltas.clear()
+        rep = bound_report(s2, 6, delta)
+        assert deltas == rules
+        assert (rep.T2, rep.A_K) == want[rep.delta]

@@ -22,6 +22,7 @@ from capsieve.specfun import (
     jacobi_at_one,
     jacobi_derivative,
     jacobi_eval,
+    jacobi_eval_rows,
     jacobi_norm_sq,
     largest_zero,
     log_gamma,
@@ -183,6 +184,31 @@ def test_jacobi_eval_matches_endpoint():
         for n in (0, 1, 2, 5, 17, 40):
             idx = JacobiIndex(alpha, beta, n)
             assert jacobi_eval(idx, 1.0) == pytest.approx(jacobi_at_one(idx), rel=1e-12)
+
+
+def test_jacobi_eval_rows_matches_jacobi_eval():
+    # one pass over all rows gives each row's own recurrence bit for bit,
+    # with repeated degrees and rows leaving the pass at different steps
+    rng = np.random.default_rng(14)
+    for alpha, beta in FAMILY_AB + [(80.0, 0.0)]:
+        degrees = np.sort(rng.integers(1, 90, size=30))
+        degrees[5:9] = degrees[4]
+        degrees = np.sort(degrees)
+        t = rng.uniform(-1.0, 1.0, size=(len(degrees), 33))
+        rows = jacobi_eval_rows(alpha, beta, degrees, t)
+        for n, ti, row in zip(degrees, t, rows):
+            assert np.array_equal(row, jacobi_eval(JacobiIndex(alpha, beta, int(n)), ti))
+
+
+def test_jacobi_eval_rows_domain():
+    t = np.zeros((3, 4))
+    for degrees in ([2, 1, 3], [0, 1, 2], [1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            jacobi_eval_rows(0.0, 0.0, degrees, t)
+    with pytest.raises(ValueError, match="2-D"):
+        jacobi_eval_rows(0.0, 0.0, [1, 2, 3], np.zeros(3))
+    with pytest.raises(ValueError, match="outside"):
+        jacobi_eval_rows(0.0, 0.0, [1, 2, 3], t + 1.5)
 
 
 def test_jacobi_domain_error():
