@@ -5,9 +5,11 @@ caps.  Membership, cap-restricted sampling, Monte Carlo intersection
 fractions, and the two suprema over cap centres live here.  The maximum
 Nyquist density rho of a region is searched (candidate centres, then
 spherical coordinate descent) and every centre is scored on one cap sample
-drawn around e_0 and reflected onto the centre.  The largest cap mass of a
-finitely supported measure on S^2 or P^2(R) is exact: a sweep over the
-circle of centres that puts each atom on the cap boundary.
+drawn around e_0: the reflection that takes e_0 to the centre moves the
+region's few cap centres into the centre's frame, and the sample stays
+where it is.  The largest cap mass of a finitely supported measure on S^2
+or P^2(R) is exact: a sweep over the circle of centres that puts each atom
+on the cap boundary.
 
 Points are unit vectors in R^(d+1).  On the real projective spaces a point
 and its antipode represent the same element and the cosine distance is
@@ -43,7 +45,8 @@ __all__ = [
 GRID_SIZE = 4096
 REFINE_ITERS = 20
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
-_CHUNK_POINTS = 1 << 13  # moved points per region.contains call (one centre at least)
+_MAX_SAMPLE_ENTRIES = 1 << 24  # n (d+1) of one cap sample; about 100 B per point on S^2
+_CHUNK_POINTS = 1 << 13  # sample points times centres per cap product (one centre at least)
 
 
 def _as_unit(vec) -> np.ndarray:
@@ -168,12 +171,19 @@ class RegionSpec:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if not self.caps:
-            inside = np.zeros(pts.shape[0], dtype=bool)
-        else:
-            centers = np.array([c for c, _ in self.caps])
-            deltas = np.array([d for _, d in self.caps])
-            inside = (cos_distance(self.space, pts, centers) >= deltas).any(axis=1)
+        cos = cos_distance(self.space, pts, self.cap_centers())  # (n, caps)
+        return self._membership(cos.T, (pts.shape[0],))
+
+    def _membership(self, cosines, shape: tuple[int, ...]) -> np.ndarray:
+        """Membership from cosine distances: in some cap (cos_i >= delta_i), then complemented.
+
+        ``cosines`` yields, cap by cap, an array of the given shape holding
+        the cosine distances to that cap's centre; the complement is taken
+        only if the region is a complement.
+        """
+        inside = np.zeros(shape, dtype=bool)
+        for cos, (_, delta) in zip(cosines, self.caps):
+            inside |= cos >= delta
         return ~inside if self.complement else inside
 
     def cap_centers(self) -> np.ndarray:
@@ -252,10 +262,14 @@ def _pole_sample(space: SpaceParams, delta: float, n: int, seed: int) -> np.ndar
     CDF of the Jacobi weight on [delta, 1] (bisection, bracket 1e-12); the
     remaining coordinates are a uniform direction scaled to sqrt(1 - t^2).
     On P^d(R) the sign of t is a fair coin, so both sheets of the cap are
-    covered.
+    covered.  n (d+1) may not exceed 2^24, which caps the memory of a call.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n * (space.d + 1) > _MAX_SAMPLE_ENTRIES:
+        raise ValueError(f"{n} samples on {space.space_id} exceed the limit of 2^24 "
+                         f"coordinates per cap sample; the largest accepted n is "
+                         f"{_MAX_SAMPLE_ENTRIES // (space.d + 1)}")
     if not (space.t_min <= delta < 1.0):
         raise ValueError(f"delta outside [{space.t_min}, 1)")
     rng = np.random.default_rng(seed & _SEED_MASK)
@@ -276,6 +290,9 @@ def _pole_to(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
     The isometry is Q_c = -s (I - 2 v v^T / |v|^2) with v = e_0 + s c and
     s = sign(c_0) (+1 at 0): a symmetric orthogonal map with Q_c e_0 = c.
     |v|^2 = 2 (1 + |c_0|) never cancels, and |<Q_c p, c>| = |<p, e_0>|.
+    Q_c is its own inverse, so the same call moves points from around c
+    into the frame where c sits at e_0: ``_fractions`` moves the region's
+    cap centres that way, since <Q_c p, c_i> = <p, Q_c c_i>.
     """
     s = np.where(centers[:, 0] < 0.0, -1.0, 1.0)
     v = s[:, None] * centers
@@ -285,14 +302,22 @@ def _pole_to(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def _fractions(region: RegionSpec, centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Share of the pole sample pts inside the region once moved to each center."""
+    """Share of the pole sample pts inside the region once moved to each center.
+
+    The sample is not moved: the region's cap centres are moved into each
+    centre's frame instead (Q_c is symmetric and orthogonal), and each cap
+    costs one (n, centres) product of cosine distances per chunk.
+    """
     n = pts.shape[0]
     step = max(1, _CHUNK_POINTS // n)
+    caps = region.cap_centers()
     out = np.empty(centers.shape[0])
     for start in range(0, centers.shape[0], step):
-        moved = _pole_to(centers[start:start + step], pts)
-        inside = region.contains(moved.reshape(-1, pts.shape[1]))
-        out[start:start + step] = np.count_nonzero(inside.reshape(-1, n), axis=1) / n
+        chunk = centers[start:start + step]
+        moved = _pole_to(chunk, caps).transpose(1, 0, 2)  # (caps, centres, d+1)
+        inside = region._membership((cos_distance(region.space, pts, m) for m in moved),
+                                    (n, chunk.shape[0]))
+        out[start:start + step] = np.count_nonzero(inside, axis=0) / n
     return out
 
 
@@ -335,10 +360,13 @@ def max_nyquist_density(region: RegionSpec, K: int, n_per_center: int,
     polynomial.  Candidate centers are the region's cap centers, their
     pairwise midpoints, and a global grid; the best candidate is refined by
     spherical coordinate descent with a shrinking step.  One cap sample of
-    n_per_center points is drawn per call and every center is scored on
-    the same points, moved to it by a reflection (common random numbers),
-    so the result does not depend on evaluation order.  The returned rho is
-    an estimate, not a bound: no confidence margin is added.
+    n_per_center points is drawn around e_0 per call and every center is
+    scored on the same points (common random numbers): the reflection that
+    takes e_0 to the center moves the region's cap centres into its frame,
+    which is the same as moving the sample onto the center, so the result
+    does not depend on evaluation order.  n_per_center (d+1) may not exceed
+    2^24.  The returned rho is an estimate, not a bound: no confidence
+    margin is added.
     """
     space = region.space
     if K < 1 or not space.in_index_set(K):

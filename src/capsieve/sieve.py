@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _DELTA_SLACK = 1e-12
+_TAIL_NODES = 128  # nodes of every tail rule from K = 32 on
 
 
 @lru_cache(maxsize=4096)
@@ -67,7 +68,7 @@ def _node_count(K: int) -> int:
     floor set by double-precision nodes near 1 and the P_K recurrence at
     every K; smaller K keep 2K+64.
     """
-    return min(2 * K + 64, 128)
+    return min(2 * K + 64, _TAIL_NODES)
 
 
 def _tail_integral_sq(space: SpaceParams, ks, deltas) -> list[float]:
@@ -76,7 +77,8 @@ def _tail_integral_sq(space: SpaceParams, ks, deltas) -> list[float]:
     ``ks`` is nondecreasing.  All rows share one pass of the recurrence over
     a (rows x nodes) array of at most 128 columns; a row with fewer nodes is
     padded, and its integral is the dot product over its own nodes, so every
-    row sums exactly as a one-row call would.
+    row sums exactly as a one-row call would.  The rows with 128 nodes
+    (K >= 32) get their rules from one ``tail_quadrature`` call.
     """
     if space.alpha > 80.0:  # 5e-12 off 40-digit mpmath at alpha = 80, 2e-10 at 100, 1e-3 at 149
         raise ValueError(f"alpha={space.alpha:g} of {space.space_id} exceeds 80: the tail rule "
@@ -85,9 +87,13 @@ def _tail_integral_sq(space: SpaceParams, ks, deltas) -> list[float]:
     counts = [_node_count(k) for k in ks]
     nodes = np.zeros((len(ks), max(counts)))
     weights = np.zeros_like(nodes)
-    for i, (m, delta) in enumerate(zip(counts, deltas)):
-        rule = tail_quadrature(alpha, beta, delta, m)
-        nodes[i, :m], weights[i, :m] = rule.nodes, rule.weights
+    full = sum(m < _TAIL_NODES for m in counts)  # counts are nondecreasing
+    for i in range(full):
+        rule = tail_quadrature(alpha, beta, deltas[i], counts[i])
+        nodes[i, :counts[i]], weights[i, :counts[i]] = rule.nodes, rule.weights
+    if full < len(ks):
+        rule = tail_quadrature(alpha, beta, deltas[full:], _TAIL_NODES)
+        nodes[full:], weights[full:] = rule.nodes, rule.weights
     vals = np.ones_like(nodes)  # P_0 = 1
     first = int(np.searchsorted(ks, 1))
     if first < len(ks):

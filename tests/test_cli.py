@@ -130,6 +130,17 @@ def test_density_rejects_zero_samples(tmp_path, capsys):
     assert "n_per_center must be >= 1" in err
 
 
+def test_density_rejects_too_many_samples(tmp_path, capsys):
+    # 10^9 samples would need about 100 GB; nothing is drawn
+    path = _region_file(tmp_path, [{"center": [0.0, 0.0, 1.0], "delta": 0.9}])
+    code, out, err = run_cli(capsys, "density", "--region", path, "--K", "5",
+                             "--samples", "1000000000")
+    assert code == 1
+    assert out == ""
+    assert "1000000000 samples on s2" in err
+    assert "largest accepted n is 5592405" in err
+
+
 def test_density_misspelled_cap_key(tmp_path, capsys):
     path = _region_file(tmp_path, [{"center": [0.0, 0.0, 1.0], "delta": 0.9},
                                    {"centre": [1.0, 0.0, 0.0], "delta": 0.9}])

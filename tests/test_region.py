@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,81 @@ def test_pole_to_is_an_isometry_onto_the_center(sid):
         np.testing.assert_allclose(region.cos_distance(space, m, c),
                                    region.cos_distance(space, pts, np.eye(dim)[0]),
                                    rtol=0.0, atol=1e-15)
+
+
+def _reference_fractions(reg, centers, pts):
+    # the sample itself moved onto every centre, then tested by contains
+    moved = region._pole_to(centers, pts)
+    inside = reg.contains(moved.reshape(-1, pts.shape[1])).reshape(len(centers), -1)
+    return np.count_nonzero(inside, axis=1) / pts.shape[0]
+
+
+def _seeded_regions(space, seed):
+    rng = np.random.default_rng(seed)
+    dim = space.d + 1
+
+    def caps(k):
+        cs_ = rng.standard_normal((k, dim))
+        return tuple((c, float(d)) for c, d in zip(cs_, rng.uniform(0.6, 0.9, k)))
+
+    one, three = caps(1), caps(3)
+    return [RegionSpec(space=space, caps=c, complement=comp)
+            for c in ((), one, three) for comp in (False, True)]
+
+
+def _scored_centers(space, seed):
+    # random centres (about half with c_0 < 0), c_0 = 0 exactly, and +-e_0
+    rng = np.random.default_rng(seed)
+    dim = space.d + 1
+    g = rng.standard_normal((40, dim))
+    g[:8, 0] = 0.0
+    e0 = np.eye(dim)[0]
+    return np.vstack([g / np.linalg.norm(g, axis=1, keepdims=True), e0, -e0])
+
+
+@pytest.mark.parametrize("sid", ["s2", "rp2", "s3"])
+def test_fractions_match_the_moved_sample(sid):
+    space = cs.space_from_id(sid)
+    for seed in (1, 2, 3):
+        centers = _scored_centers(space, seed)
+        assert (centers[:, 0] < 0.0).any() and (centers[:, 0] == 0.0).any()
+        # 300 points: several centres per chunk; 9000: one centre per chunk
+        for n in (300, 9000):
+            pts = region._pole_sample(space, 0.7, n, seed)
+            for reg in _seeded_regions(space, seed):
+                got = region._fractions(reg, centers, pts)
+                assert np.array_equal(got, _reference_fractions(reg, centers, pts)), reg
+                if reg.caps:
+                    assert 0.0 < got.max() and got.min() < 1.0
+
+
+def test_density_matches_the_moved_sample_reference(monkeypatch):
+    cases = [(cs.space_from_id(sid), K) for sid, K in (("s2", 10), ("rp2", 8), ("s3", 6))]
+    for seed in (4, 5, 6):
+        for space, K in cases:
+            reg = _seeded_regions(space, seed)[4]  # a union of three caps
+            got = max_nyquist_density(reg, K, 200, seed, grid_size=256)
+            with monkeypatch.context() as m:
+                m.setattr(region, "_fractions", _reference_fractions)
+                want = max_nyquist_density(reg, K, 200, seed, grid_size=256)
+            assert got.rho == want.rho
+            assert np.array_equal(got.argmax_center, want.argmax_center)
+            assert got.n_centers == want.n_centers
+
+
+def test_pole_sample_size_is_capped():
+    # rejected before anything is drawn: the sample would need about 560 MB
+    for sid in ("s2", "s3"):
+        space = cs.space_from_id(sid)
+        limit = (1 << 24) // (space.d + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"largest accepted n is {limit}"):
+                region._pole_sample(space, 0.5, limit + 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_density_inverts_the_cdf_once(monkeypatch, s2, rp2):

@@ -165,6 +165,18 @@ def test_constants_table_rows_equal_single_constants(space_id):
         assert r["A_K"] == a_constant(sp, k)
 
 
+def test_constants_table_maps_the_full_tail_rules_at_once(monkeypatch, s2):
+    # K < 32 has 2K+64 nodes, one rule each; K >= 32 shares one 128-node call
+    from capsieve import sieve
+
+    real, calls = sieve.tail_quadrature, []
+    monkeypatch.setattr(sieve, "tail_quadrature",
+                        lambda a, b, delta, m: calls.append((np.ndim(delta), m))
+                        or real(a, b, delta, m))
+    constants_table(s2, 60)
+    assert calls == [(0, 2 * k + 64) for k in range(1, 32)] + [(1, 128)]
+
+
 def test_constants_table_needs_a_positive_k(s2, rp2):
     for sp, k_max, smallest in ((s2, 0, 1), (s2, -3, 1), (rp2, 1, 2)):
         with pytest.raises(ValueError, match=f"smallest admissible K_max is {smallest}$"):

@@ -499,6 +499,23 @@ def test_tail_quadrature_matches_incomplete_beta():
             assert np.all(np.diff(rule.nodes) > 0.0)
 
 
+def test_tail_quadrature_rows_equal_single_rules():
+    # a sequence of deltas maps the base rule once; each row is the one-delta rule
+    rng = np.random.default_rng(31)
+    for alpha, beta in FAMILY_AB + [(0.0, -0.5), (40.5, -0.5)]:
+        deltas = list(rng.uniform(-1.0, 1.0, 9)) + [-1.0, 0.999999]
+        rows = tail_quadrature(alpha, beta, deltas, 128)
+        assert rows.nodes.shape == rows.weights.shape == (len(deltas), 128)
+        assert not rows.nodes.flags.writeable and not rows.weights.flags.writeable
+        for i, delta in enumerate(deltas):
+            one = tail_quadrature(alpha, beta, float(delta), 128)
+            assert np.array_equal(rows.nodes[i], one.nodes)
+            assert np.array_equal(rows.weights[i], one.weights)
+    for bad in ([0.2, 1.0], [-1.5], [math.nan]):
+        with pytest.raises(ValueError, match=r"\[-1, 1\)"):
+            tail_quadrature(0.0, 0.0, bad, 8)
+
+
 def test_tail_quadrature_polynomial_exactness():
     # against numpy leggauss on the subinterval
     alpha, beta, delta = 0.5, 0.5, 0.4
@@ -557,6 +574,17 @@ def test_bessel_domain():
     for alpha in (-0.6, math.nan, math.inf):
         with pytest.raises(ValueError):
             bessel_first_zero(alpha)
+
+
+def test_bessel_argument_limit():
+    # the recurrence takes O(z) steps, so z is capped at 1e5 (0.06 s)
+    mpmath = pytest.importorskip("mpmath")
+    assert abs(bessel_j(0.0, 1e5) - float(mpmath.besselj(0, 100000))) <= 1e-14
+    assert mehler_heine_residual(JacobiIndex(0, 0, 50_000), 1e5) >= 0.0
+    with pytest.raises(ValueError, match="exceeds 100000"):
+        bessel_j(0.0, 2e5)
+    with pytest.raises(ValueError, match="100000"):
+        mehler_heine_residual(JacobiIndex(0, 0, 100_000), 2e5)
 
 
 def test_bessel_high_orders_against_mpmath():
