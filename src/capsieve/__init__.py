@@ -3,7 +3,7 @@
 Computes the sharp cap concentration constant T2(K, delta), the Nyquist
 bound constant A_K and its Bessel limit, L^p extensions, and Monte Carlo
 estimates of maximum Nyquist densities for cap-union regions, together with
-independent brute-force and spectral verification oracles.
+independent primal-dual and spectral verification oracles.
 """
 
 from ._version import __version__

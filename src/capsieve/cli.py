@@ -177,7 +177,11 @@ def _suite_ordering(space_id: str, K: int, seed: int) -> list[dict]:
 
 
 def _suite_extremal(space_id: str, K: int) -> list[dict]:
-    """T2 against the brute-force oracle at K in {2, 4} up to K, and at min(K, 4)."""
+    """T2 against the oracle's certified interval at K in {2, 4} up to K, and at min(K, 4).
+
+    A check's value is the larger of the oracle's relative gap and T2's
+    relative distance outside [T2_lower, T2_upper]; it passes at 1e-12.
+    """
     space = space_from_id(space_id)
     if K < 1:
         raise ValueError(f"the extremal suite needs K >= 1, got {K}")
@@ -185,12 +189,13 @@ def _suite_extremal(space_id: str, K: int) -> list[dict]:
     for k in sorted({k for k in (2, 4, min(K, 4)) if k <= K and space.in_index_set(k)}):
         t_kk = nyquist_delta(space, k)
         for delta in (t_kk, 0.5 * (1.0 + t_kk)):
-            got = extremal_bruteforce(space, k, delta).T2_oracle
+            res = extremal_bruteforce(space, k, delta)
             want = t2_constant(space, k, delta)
-            rel = abs(got - want) / want
+            lo, hi = res.T2_lower, res.T2_upper
+            err = max((hi - lo) / lo, (lo - want) / lo, (want - hi) / hi)
             checks.append(_check(
-                f"extremal[{space.space_id},K={k},delta={delta:.6f}]", rel, 0.01,
-                rel <= 0.01))
+                f"extremal[{space.space_id},K={k},delta={delta:.6f}]", err, 1e-12,
+                err <= 1e-12))
     return checks
 
 

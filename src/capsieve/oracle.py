@@ -1,10 +1,11 @@
 """Independent verification oracles.
 
 Nothing here reuses the closed forms it is meant to check: the extremal
-constant is re-derived by direct minimization over nonnegative cap
-profiles, concentration eigenvalues come from the spherical-harmonic Gram
-matrix of a product quadrature grid of S^2, and the convolution identity
-is tested by explicit double integration over the sphere.
+constant is bracketed by certified primal and dual bounds on the discretized
+problem over nonnegative cap profiles, concentration eigenvalues come from
+the spherical-harmonic Gram matrix of a product quadrature grid of S^2, and
+the convolution identity is tested by explicit double integration over the
+sphere.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .specfun import (
     JacobiIndex,
     gauss_jacobi_rule,
     jacobi_at_one,
-    jacobi_eval,
+    jacobi_eval_rows,
     tail_quadrature,
 )
 
@@ -40,7 +41,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExtremalResult:
-    T2_oracle: float
+    T2_oracle: float  # equals T2_upper, so it never under-estimates
+    T2_lower: float
+    T2_upper: float
     minimizer_profile: np.ndarray
     K: int
     delta: float
@@ -57,19 +60,35 @@ class SpectralResult:
     region: dict
 
 
-def extremal_bruteforce(space: SpaceParams, K: int, delta: float,
-                        grid_size: int | None = None,
-                        n_iters: int = 2000) -> ExtremalResult:
-    """Direct minimization of the cap concentration functional.
+def _ratio_rows(space: SpaceParams, K: int, t: np.ndarray) -> np.ndarray:
+    """r_k = P_k/P_k(1) at the points t, one row per k <= K of the index set."""
+    ks = list(space.index_set(K))  # starts at k = 0, where r_0 = 1
+    rows = np.ones((len(ks), t.size))
+    if len(ks) > 1:
+        pk1 = [jacobi_at_one(JacobiIndex(space.alpha, space.beta, k)) for k in ks[1:]]
+        rows[1:] = jacobi_eval_rows(space.alpha, space.beta, ks[1:],
+                                    np.broadcast_to(t, (len(ks) - 1, t.size)))
+        rows[1:] /= np.array(pk1)[:, None]
+    return rows
 
-    A zonal profile supported on [delta, 1] is represented by its values at
-    Gauss-Jacobi nodes of the tail; the objective max_k d_k ||g||^2 /
-    ghat(k,1)^2 is minimized over nonnegative node vectors by projected
-    subgradient descent started from the constant profile (step c/sqrt(iter),
-    2000 iterations).  The known optimal profile, the degree-K polynomial
-    restricted to the cap, is always evaluated as well and the better of the
-    two is returned, so the oracle can over- or exactly estimate the true
-    minimum but never under-estimate it.
+
+def extremal_bruteforce(space: SpaceParams, K: int, delta: float,
+                        grid_size: int | None = None) -> ExtremalResult:
+    """Certified primal-dual bounds on the discretized cap extremal problem.
+
+    A zonal profile g >= 0 supported on [delta, 1] is represented by its
+    values at the nodes of the tail rule, with weights W.  Scaled so that
+    r_k'Wg >= 1 for every k of the index set, with r_k = P_k/P_k(1) at the
+    nodes, T2 is min g'Wg / nu_perp: a convex QP.  Each primal vertex
+    g_k = max(0, r_k) gives the upper bound g_k'Wg_k / min_j (r_j'Wg_k)^2,
+    and each dual vertex lambda = e_k gives, by weak duality, the lower bound
+    1 / ||max(0, r_k)||_W^2 (Boyd & Vandenberghe 2004, ch. 5).  Both are read
+    from one matrix M = (R W) max(0, R)', whose entries are r_j'Wg_k and whose
+    diagonal is ||g_k||_W^2.  The best bound of each kind is returned;
+    T2_oracle is the upper one, and converged means a relative gap of at most
+    1e-12.  For delta >= t_KK the ordering r_k >= r_K >= 0 of the source paper
+    is the KKT condition that closes the gap at the degree-K vertex, whose
+    normalized profile is returned.
     """
     t_kk = nyquist_delta(space, K)
     if delta < t_kk - 1e-12 or not delta < 1.0:
@@ -80,61 +99,21 @@ def extremal_bruteforce(space: SpaceParams, K: int, delta: float,
         raise ValueError("grid_size must be at least 4 (K + 1)")
 
     rule = tail_quadrature(space.alpha, space.beta, delta, grid_size)
-    w = rule.weights
-    ks = list(space.index_set(K))
-    ratios = np.empty((len(ks), grid_size))
-    for row, k in enumerate(ks):
-        if k == 0:
-            ratios[row] = 1.0
-        else:
-            pk1 = jacobi_at_one(JacobiIndex(space.alpha, space.beta, k))
-            ratios[row] = jacobi_eval(JacobiIndex(space.alpha, space.beta, k),
-                                      rule.nodes) / pk1
-    nu = space.nu_perp
-
-    def phi_all(gv: np.ndarray) -> np.ndarray:
-        # d_k cancels: phi_k = (g' W g) / (nu * (p_k' W g)^2)
-        norm2 = float(np.dot(w, gv * gv))
-        proj = ratios @ (w * gv)
-        return norm2 / (nu * proj * proj)
-
-    g = np.ones(grid_size)
-    best_val = float(np.max(phi_all(g)))
-    best_g = g.copy()
-    step0 = 0.5
-    converged = True
-    for it in range(1, n_iters + 1):
-        vals = phi_all(g)
-        k_star = int(np.argmax(vals))
-        norm2 = float(np.dot(w, g * g))
-        proj = float(np.dot(ratios[k_star], w * g))
-        # gradient of (g'Wg) / (nu (p'Wg)^2)
-        grad = (2.0 / (nu * proj * proj)) * (w * g) \
-            - (2.0 * norm2 / (nu * proj ** 3)) * (w * ratios[k_star])
-        gn = np.linalg.norm(grad)
-        if gn == 0.0:
-            break
-        g = g - (step0 / math.sqrt(it)) * (np.linalg.norm(g) / gn) * grad
-        g = np.maximum(g, 0.0)
-        nrm = np.linalg.norm(g)
-        if nrm < 1e-14:
-            converged = False
-            g = np.ones(grid_size)
-            continue
-        g /= nrm
-        val = float(np.max(phi_all(g)))
-        if val < best_val:
-            best_val = val
-            best_g = g.copy()
-
-    # the known optimal profile: the degree-K polynomial restricted to the cap
-    candidate = ratios[-1].copy()
-    cand_val = float(np.max(phi_all(candidate)))
-    if cand_val < best_val:
-        best_val = cand_val
-        best_g = candidate / np.linalg.norm(candidate)
-    return ExtremalResult(T2_oracle=best_val, minimizer_profile=best_g, K=K,
-                          delta=delta, grid_size=grid_size, converged=converged)
+    ratios = _ratio_rows(space, K, rule.nodes)
+    vertices = np.maximum(ratios, 0.0)
+    gram = (ratios * rule.weights) @ vertices.T
+    norm2, proj = np.diag(gram), gram.min(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # an empty vertex has no bound
+        upper = np.where(proj > 0.0, norm2 / proj ** 2, np.inf)
+        lower = 1.0 / norm2.min()
+    best = int(np.argmin(upper))
+    t2_upper = float(upper[best]) / space.nu_perp
+    t2_lower = float(lower) / space.nu_perp
+    return ExtremalResult(
+        T2_oracle=t2_upper, T2_lower=t2_lower, T2_upper=t2_upper,
+        minimizer_profile=vertices[best] / np.linalg.norm(vertices[best]), K=K,
+        delta=delta, grid_size=grid_size,
+        converged=bool(t2_upper - t2_lower <= 1e-12 * t2_lower))
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +268,8 @@ def ordering_check(space: SpaceParams, K: int, n_samples: int, seed: int) -> flo
     t_kk = nyquist_delta(space, K)
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     t = t_kk + (1.0 - t_kk) * rng.random(n_samples)
-    worst = np.inf
-    prev = None
-    for k in space.index_set(K):
-        if k == 0:
-            ratio = np.ones_like(t)
-        else:
-            pk1 = jacobi_at_one(JacobiIndex(space.alpha, space.beta, k))
-            ratio = jacobi_eval(JacobiIndex(space.alpha, space.beta, k), t) / pk1
-        worst = min(worst, float(ratio.min()))
-        if prev is not None:
-            worst = min(worst, float((prev - ratio).min()))
-        prev = ratio
-    return worst
+    ratios = _ratio_rows(space, K, t)
+    return min(float(ratios.min()), float((ratios[:-1] - ratios[1:]).min()))
 
 
 def limit_check(space: SpaceParams, k_list) -> list[tuple[int, float, float]]:

@@ -100,7 +100,13 @@ def _tail_integral_sq(space: SpaceParams, ks, deltas) -> list[float]:
         pk1 = np.array([jacobi_at_one(JacobiIndex(alpha, beta, k)) for k in ks[first:]])
         pk = jacobi_eval_rows(alpha, beta, ks[first:], nodes[first:])
         vals[first:] = (pk / pk1[:, None]) ** 2
-    return [float(np.dot(w[:m], v[:m])) for w, v, m in zip(weights, vals, counts)]
+    tails = [float(np.dot(w[:m], v[:m])) for w, v, m in zip(weights, vals, counts)]
+    for delta, tail in zip(deltas, tails):
+        if not 0.0 < tail < math.inf:
+            raise ValueError(f"delta={delta!r} is too close to 1 for {space.space_id}: the tail "
+                             f"integral behind T2 and A_K underflows to {tail!r}, since "
+                             f"(1 - delta)^(alpha + 1) leaves the double range")
+    return tails
 
 
 def _cap_integral(space: SpaceParams, delta: float) -> float:

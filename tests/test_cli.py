@@ -228,6 +228,14 @@ def test_table_beyond_checked_tail_rule(capsys):
     assert "alpha=149" in err
 
 
+@pytest.mark.parametrize("space_id, delta", [("s162", "0.9999"), ("s82", "0.99999999")])
+def test_bound_tail_underflow_exit_code(capsys, space_id, delta):
+    code, out, err = run_cli(capsys, "bound", space_id, "--K", "40", "--delta", delta)
+    assert code == 1
+    assert out == ""
+    assert f"delta={delta} is too close to 1 for {space_id}" in err and "underflows" in err
+
+
 @pytest.mark.parametrize("delta", ["nan", "inf"])
 def test_bound_rejects_non_finite_delta(capsys, delta):
     code, out, err = run_cli(capsys, "bound", "s2", "--K", "5", "--delta", delta)
@@ -346,6 +354,17 @@ def test_verify_extremal_honours_k(capsys):
     assert _extremal_ks(capsys) == [2, 4]
     code, _, err = run_cli(capsys, "verify", "--suite", "extremal", "--K", "0")
     assert code == 1 and "K >= 1" in err
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-9, 1.0 - 1e-9])
+def test_verify_extremal_detects_a_scaled_t2(capsys, monkeypatch, factor):
+    import capsieve.cli as cli
+    t2 = cli.t2_constant
+    monkeypatch.setattr(cli, "t2_constant", lambda *args: factor * t2(*args))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "extremal")
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    assert checks and not any(c["pass"] for c in checks)
 
 
 def test_verify_structural(capsys):

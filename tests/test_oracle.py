@@ -29,9 +29,17 @@ def _region(space, caps, complement=False):
 # ---------------------------------------------------------------------------
 
 
+def _assert_certified(res, want):
+    """T2 inside the oracle's interval widened by 1e-12, with a gap of at most 1e-12."""
+    assert res.converged
+    assert res.T2_oracle == res.T2_upper
+    assert res.T2_upper - res.T2_lower <= 1e-12 * res.T2_lower
+    assert res.T2_lower * (1.0 - 1e-12) <= want <= res.T2_upper * (1.0 + 1e-12)
+
+
 def test_extremal_k0_reciprocal_cap(s2):
-    res = extremal_bruteforce(s2, 0, 0.3, grid_size=48, n_iters=200)
-    assert res.T2_oracle == pytest.approx(1.0 / cs.cap_measure(s2, 0.3), rel=1e-6)
+    res = extremal_bruteforce(s2, 0, 0.3, grid_size=48)
+    _assert_certified(res, 1.0 / cs.cap_measure(s2, 0.3))
 
 
 def test_extremal_matches_t2(s2):
@@ -39,30 +47,28 @@ def test_extremal_matches_t2(s2):
         t_kk = nyquist_delta(s2, K)
         for delta in (t_kk, 0.5 * (1 + t_kk)):
             res = extremal_bruteforce(s2, K, delta)
-            want = t2_constant(s2, K, delta)
-            assert abs(res.T2_oracle - want) / want <= 0.01
+            _assert_certified(res, t2_constant(s2, K, delta))
 
 
 def test_extremal_profile_properties(s2):
     K = 4
     t_kk = nyquist_delta(s2, K)
     res = extremal_bruteforce(s2, K, t_kk)
-    assert np.all(res.minimizer_profile >= -1e-9)
+    assert np.all(res.minimizer_profile >= 0.0)
     assert res.T2_oracle >= 1.0
-    # normalized inner product with the degree-K polynomial on the cap
+    # the winning vertex is the degree-K polynomial restricted to the cap
     rule = cs.tail_quadrature(s2.alpha, s2.beta, t_kk, res.grid_size)
     pk = cs.jacobi_eval(cs.JacobiIndex(s2.alpha, s2.beta, K), rule.nodes)
-    num = float(np.dot(rule.weights, res.minimizer_profile * pk))
-    den = math.sqrt(float(np.dot(rule.weights, res.minimizer_profile ** 2))
-                    * float(np.dot(rule.weights, pk ** 2)))
-    assert abs(num) / den >= 0.99
+    np.testing.assert_allclose(res.minimizer_profile, pk / np.linalg.norm(pk),
+                               rtol=0.0, atol=1e-12)
 
 
 def test_extremal_never_underestimates(s2):
-    # every profile it returns is feasible, so its value dominates T2
+    # the upper bound comes from a feasible profile, so it dominates T2
     for K, delta in ((2, 0.8), (4, 0.95)):
-        res = extremal_bruteforce(s2, K, delta, n_iters=50)
-        assert res.T2_oracle >= t2_constant(s2, K, delta) * (1.0 - 1e-9)
+        res = extremal_bruteforce(s2, K, delta)
+        assert res.T2_oracle == res.T2_upper
+        assert res.T2_upper >= t2_constant(s2, K, delta) * (1.0 - 1e-12)
 
 
 def test_extremal_rejects_bad_delta(s2):
@@ -76,8 +82,24 @@ def test_extremal_projective_index_set(rp2):
     K = 4
     t_kk = nyquist_delta(rp2, K)
     res = extremal_bruteforce(rp2, K, t_kk)
-    want = t2_constant(rp2, K, t_kk)
-    assert abs(res.T2_oracle - want) / want <= 0.01
+    _assert_certified(res, t2_constant(rp2, K, t_kk))
+
+
+def test_extremal_does_not_use_the_closed_form(monkeypatch):
+    import capsieve.sieve as sieve
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the extremal oracle reached the closed form it checks")
+
+    want = {}
+    for sid in ("s2", "rp2", "cay16"):
+        sp = cs.space_from_id(sid)
+        want[sid] = t2_constant(sp, 4, nyquist_delta(sp, 4))
+    monkeypatch.setattr(sieve, "_tail_integral_sq", forbidden)
+    monkeypatch.setattr(sieve, "t2_constant", forbidden)
+    for sid, t2 in want.items():
+        sp = cs.space_from_id(sid)
+        _assert_certified(extremal_bruteforce(sp, 4, nyquist_delta(sp, 4)), t2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import pytest
 
 import capsieve as cs
 from capsieve.region import MeasureSpec, measure_bound
-from capsieve.sieve import a_constant, a_infinity, bound_report, constants_table, \
-    lp_bound, nyquist_delta, t2_constant
+from capsieve.sieve import _tail_integral_sq, a_constant, a_infinity, bound_report, \
+    constants_table, lp_bound, nyquist_delta, t2_constant
 from capsieve.specfun import _gauss_jacobi_cached
 
 
@@ -151,6 +151,18 @@ def test_tail_constants_stop_at_alpha_80():
         a_constant(sp, 4)
     with pytest.raises(ValueError, match="alpha=81"):
         t2_constant(sp, 4, nyquist_delta(sp, 4))
+
+
+def test_tail_integral_underflow_names_delta():
+    # (1 - delta)^(alpha + 1) = 1e-4^81 is below the subnormals: the tail integral is 0
+    sp = cs.space_from_id("s162")
+    with pytest.raises(ValueError, match=r"delta=0\.9999 is too close to 1 for s162.*underflows"):
+        t2_constant(sp, 40, 0.9999)
+    with pytest.raises(ValueError, match="underflows"):
+        bound_report(sp, 40, 0.9999)
+    # constants_table's many-row path names the row that underflows
+    with pytest.raises(ValueError, match=r"delta=0\.9999 .*underflows"):
+        _tail_integral_sq(sp, [4, 40], [nyquist_delta(sp, 4), 0.9999])
 
 
 @pytest.mark.parametrize("space_id", ["s2", "rp2", "s3", "cp4", "hp8", "cay16", "s82"])
