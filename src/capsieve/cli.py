@@ -18,6 +18,7 @@ import argparse
 import io
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -282,7 +283,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The capsieve argument parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="capsieve",
         description="Concentration bounds and Nyquist densities on two-point "

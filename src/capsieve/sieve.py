@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 _DELTA_SLACK = 1e-12
-_TAIL_NODES = 128  # nodes of every tail rule from K = 32 on
+_TAIL_NODES = 128  # nodes of every tail rule
 
 
 @lru_cache(maxsize=4096)
@@ -58,49 +58,35 @@ def nyquist_delta(space: SpaceParams, K: int) -> float:
     return _largest_zero_t(space.alpha, space.beta, K)
 
 
-def _node_count(K: int) -> int:
-    """Nodes of the tail rule for (P_K/P_K(1))^2 on [delta, 1], delta >= t_KK.
+def _tail_integral_sq(space: SpaceParams, ks, deltas) -> list[float]:
+    """Integrals over [delta_i, 1] of (P_{K_i}(t)/P_{K_i}(1))^2 against the Jacobi weight.
+
+    ``ks`` is nondecreasing.  Rows with K = 0 are cap integrals (P_0 = 1),
+    taken in closed form: at delta = -1 the factor (1+t)^beta vanishes at
+    the far end of the tail, where a rule cannot absorb it (it is singular
+    there for a half-integer beta, and for large beta the integral rests on
+    the rule's smallest weights).  Every other row uses the 128-node tail
+    rule at its delta, all mapped by one ``tail_quadrature`` call, and all
+    rows share one pass of the recurrence.
 
     P_K has no zero on (t_KK, 1], and by Mehler-Heine P_K(1 - z^2/2K^2)
     behaves like z^-alpha J_alpha(z).  After t = 1 - (1-delta) x the
     integrand is therefore smooth and sign-definite on [0, 1], with Taylor
     coefficients that fall faster than geometrically, so 128 nodes reach the
     floor set by double-precision nodes near 1 and the P_K recurrence at
-    every K; smaller K keep 2K+64.
-    """
-    return min(2 * K + 64, _TAIL_NODES)
-
-
-def _tail_integral_sq(space: SpaceParams, ks, deltas) -> list[float]:
-    """Integrals over [delta_i, 1] of (P_{K_i}(t)/P_{K_i}(1))^2 against the Jacobi weight.
-
-    ``ks`` is nondecreasing.  All rows share one pass of the recurrence over
-    a (rows x nodes) array of at most 128 columns; a row with fewer nodes is
-    padded, and its integral is the dot product over its own nodes, so every
-    row sums exactly as a one-row call would.  The rows with 128 nodes
-    (K >= 32) get their rules from one ``tail_quadrature`` call.
+    every K.
     """
     if space.alpha > 80.0:  # 5e-12 off 40-digit mpmath at alpha = 80, 2e-10 at 100, 1e-3 at 149
         raise ValueError(f"alpha={space.alpha:g} of {space.space_id} exceeds 80: the tail rule "
                          "behind T2 and A_K is checked against mpmath only up to there")
     alpha, beta = space.alpha, space.beta
-    counts = [_node_count(k) for k in ks]
-    nodes = np.zeros((len(ks), max(counts)))
-    weights = np.zeros_like(nodes)
-    full = sum(m < _TAIL_NODES for m in counts)  # counts are nondecreasing
-    for i in range(full):
-        rule = tail_quadrature(alpha, beta, deltas[i], counts[i])
-        nodes[i, :counts[i]], weights[i, :counts[i]] = rule.nodes, rule.weights
-    if full < len(ks):
-        rule = tail_quadrature(alpha, beta, deltas[full:], _TAIL_NODES)
-        nodes[full:], weights[full:] = rule.nodes, rule.weights
-    vals = np.ones_like(nodes)  # P_0 = 1
     first = int(np.searchsorted(ks, 1))
+    tails = [_cap_integral(space, delta) for delta in deltas[:first]]
     if first < len(ks):
+        rule = tail_quadrature(alpha, beta, deltas[first:], _TAIL_NODES)
         pk1 = np.array([jacobi_at_one(JacobiIndex(alpha, beta, k)) for k in ks[first:]])
-        pk = jacobi_eval_rows(alpha, beta, ks[first:], nodes[first:])
-        vals[first:] = (pk / pk1[:, None]) ** 2
-    tails = [float(np.dot(w[:m], v[:m])) for w, v, m in zip(weights, vals, counts)]
+        vals = (jacobi_eval_rows(alpha, beta, ks[first:], rule.nodes) / pk1[:, None]) ** 2
+        tails += [float(np.dot(w, v)) for w, v in zip(rule.weights, vals)]
     for delta, tail in zip(deltas, tails):
         if not 0.0 < tail < math.inf:
             raise ValueError(f"delta={delta!r} is too close to 1 for {space.space_id}: the tail "
@@ -257,5 +243,5 @@ def bound_report(space: SpaceParams, K: int, delta: float | None = None) -> Boun
         cap_measure_at_tKK=cap_measure(space, t_kk),
         A_K=_cap_integral(space, t_kk) / tails[0] if K >= 1 else 1.0,
         A_infinity=a_infinity(space),
-        quadrature_nodes=_node_count(K),
+        quadrature_nodes=_TAIL_NODES,
     )

@@ -121,13 +121,15 @@ def _check_t(t):
     return np.clip(arr, -1.0, 1.0)
 
 
-def _jacobi_raw(alpha: float, beta: float, n, t):
+def _jacobi_raw(alpha: float, beta: float, n, t, previous: bool = False):
     """Upward three-term recurrence.
 
     Either n is one degree and t a scalar or an ndarray, or n is a
     nondecreasing sequence of degrees >= 1, one per row of a 2-D t.  Row i
     is then taken when the recurrence reaches n[i], and finished rows leave
-    the arithmetic, so one pass costs sum(n) * t.shape[1] steps.
+    the arithmetic, so one pass costs sum(n) * t.shape[1] steps.  With
+    ``previous`` set and one degree n >= 1, the pair (P_{n-1}, P_n) is
+    returned from the same pass.
     """
     ab = alpha + beta
     if isinstance(n, (int, np.integer)):
@@ -151,7 +153,7 @@ def _jacobi_raw(alpha: float, beta: float, n, t):
             c_k = (k + alpha) * (k + beta) * (tmp + 2.0) / (0.5 * den * tmp)
             pm, pc = pc, (a_k * t + b_k) * pc - c_k * pm
         if out is None:
-            return pc
+            return (pm, pc) if previous else pc
         out[done:done + count] = pc[:count]
         pm, pc, t = pm[count:], pc[count:], t[count:]
         start, done = stop, done + count
@@ -230,31 +232,36 @@ def largest_zero(idx: JacobiIndex) -> ZeroResult:
     P_n are real, so above the largest one P_n, P_n' and P_n'' are positive
     and Newton iterates fall monotonically onto t_nn.  The first iterate
     where P_n <= 0 (roundoff near the zero) closes a bracket with the
-    previous one, which is bisected to width 1e-15.  The derivative is
-    P_n' = (n+alpha+beta+1)/2 * P_{n-1}^(alpha+1,beta+1).
+    previous one, which is bisected to width 1e-15.  Each Newton step takes
+    P_n and P_{n-1} from one recurrence pass and forms the derivative by
+    Szego, Orthogonal Polynomials, (4.5.7):
+    (2n+alpha+beta)(1-x)(1+x) P_n' = n(alpha-beta-(2n+alpha+beta)x) P_n
+    + 2(n+alpha)(n+beta) P_{n-1}.
     """
     if idx.n < 1:
         raise ValueError("degree must be >= 1")
     alpha, beta, n = idx.alpha, idx.beta, idx.n
-    fac = 0.5 * (n + alpha + beta + 1.0)
+    s = 2.0 * n + alpha + beta
+    c = 2.0 * (n + alpha) * (n + beta)
 
     def f(x: float) -> float:
         return float(_jacobi_raw(alpha, beta, n, x))
 
     hi = euler_rayleigh_bound(idx)
-    f_hi = f(hi)
+    pm_hi, f_hi = _jacobi_raw(alpha, beta, n, hi, previous=True)
     if f_hi <= 0.0:
         # the bound itself sits on the zero to within roundoff (exact for n=1)
         return ZeroResult(t_nn=hi, theta_n1=math.acos(hi), bracket_width=0.0)
 
     for _step in range(200):
-        lo = hi - f_hi / (fac * float(_jacobi_raw(alpha + 1.0, beta + 1.0, n - 1, hi)))
+        slope = (n * (alpha - beta - s * hi) * f_hi + c * pm_hi) / (s * (1.0 - hi) * (1.0 + hi))
+        lo = hi - f_hi / slope
         if not lo < hi:  # the step fell below one ulp
             lo = math.nextafter(hi, -math.inf)
-        f_lo = f(lo)
+        pm_lo, f_lo = _jacobi_raw(alpha, beta, n, lo, previous=True)
         if f_lo <= 0.0:
             break
-        hi, f_hi = lo, f_lo
+        hi, f_hi, pm_hi = lo, f_lo, pm_lo
     else:  # pragma: no cover
         raise RuntimeError("Newton iteration for the largest zero did not stop")
 
@@ -275,7 +282,7 @@ def largest_zero(idx: JacobiIndex) -> ZeroResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)  # a table uses 32 node counts, 2K+64 for K <= 32, per family
+@lru_cache(maxsize=1024)  # sieve uses one 128-node rule per family; other callers vary m
 def _gauss_jacobi_cached(alpha: float, beta: float, m: int):
     ab = alpha + beta
     diag = np.empty(m)
@@ -324,15 +331,17 @@ def tail_quadrature(alpha: float, beta: float, delta, m: int) -> QuadratureRule:
 
     The substitution t = 1 - (1-delta) x turns the (1-t)^alpha factor into
     x^alpha, handled exactly by a (0, alpha) Gauss-Jacobi rule; the remaining
-    (1+t)^beta factor is analytic on the tail and folded into the weights.
-    Weights therefore absorb the full weight function: sum_i w_i f(t_i)
-    approximates the integral of f * omega.
+    (1+t)^beta factor is folded into the weights.  It is analytic on the
+    tail for delta > -1; at delta = -1 and a non-integer beta it is singular
+    at x = 1, and the rule converges only algebraically.  Weights therefore
+    absorb the full weight function: sum_i w_i f(t_i) approximates the
+    integral of f * omega.
 
     The error depends on how smooth f(1 - (1-delta) x) is on [0, 1], not on
     a polynomial degree of f.  For f = P_K^2 with delta >= t_KK this is a
-    squared Bessel-like profile without a zero (Mehler-Heine), so a fixed m
-    (128 for the sieve constants) reaches the floor set by rounding the
-    nodes t near 1 at every K.
+    squared Bessel-like profile without a zero (Mehler-Heine), so one m
+    (128 for the sieve constants, at every K >= 1) reaches the floor set by
+    rounding the nodes t near 1.
 
     ``delta`` may also be a 1-D sequence: then nodes and weights have one
     row per delta, each equal to the rule at that delta alone, all mapped

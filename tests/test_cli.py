@@ -396,3 +396,29 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_one_parser_serves_every_call(capsys):
+    from capsieve.cli import build_parser
+
+    assert build_parser() is build_parser()
+    rounds = []
+    for _ in range(2):
+        seen = [run_cli(capsys, "table", "s2", "--K-max", "3"),
+                run_cli(capsys, "bound", "s2", "--K", "4")]
+        for argv, code in ((["bound", "s2"], 2), (["--version"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+            seen.append(tuple(capsys.readouterr()))
+        rounds.append(seen)
+    assert rounds[0] == rounds[1]
+    table, bound, usage, version = rounds[0]
+    s2 = cs.space_from_id("s2")
+    assert table == (0, "K,t_KK,T2,A_K\n" + "".join(
+        f"{r['K']},{r['t_KK']!r},{r['T2']!r},{r['A_K']!r}\n"
+        for r in cs.constants_table(s2, 3)), "")
+    assert bound[0] == 0 and bound[2] == ""
+    assert json.loads(bound[1])["A_K"] == cs.a_constant(s2, 4)
+    assert usage[0] == "" and "the following arguments are required: --K" in usage[1]
+    assert version == (f"capsieve {cs.__version__}\n", "")

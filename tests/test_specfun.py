@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from capsieve.specfun import (
     JacobiIndex,
+    _jacobi_raw,
     bessel_first_zero,
     bessel_j,
     beta_function,
@@ -419,6 +420,47 @@ def test_largest_zero_against_mpmath():
                 want = mpmath.findroot(f, mpmath.mpf(res.t_nn), solver="newton", df=df)
                 assert abs(res.t_nn - float(want)) <= 2e-15, (alpha, beta, n)
                 _check_zero_bracket(JacobiIndex(alpha, beta, n), res)
+
+
+def _two_pass_largest_zero(alpha, beta, n):
+    # reference: each Newton step runs a second recurrence for
+    # P_n' = (n+alpha+beta+1)/2 * P_{n-1}^(alpha+1,beta+1); start, descent,
+    # bracket and bisection as in largest_zero
+    fac = 0.5 * (n + alpha + beta + 1.0)
+
+    def f(x):
+        return float(_jacobi_raw(alpha, beta, n, x))
+
+    hi = euler_rayleigh_bound(JacobiIndex(alpha, beta, n))
+    f_hi = f(hi)
+    if f_hi <= 0.0:
+        return hi
+    while True:
+        lo = hi - f_hi / (fac * float(_jacobi_raw(alpha + 1.0, beta + 1.0, n - 1, hi)))
+        if not lo < hi:
+            lo = math.nextafter(hi, -math.inf)
+        f_lo = f(lo)
+        if f_lo <= 0.0:
+            break
+        hi, f_hi = lo, f_lo
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def test_largest_zero_matches_the_two_pass_newton():
+    # P_n' from P_n and P_{n-1} of one pass (Szego 4.5.7) lands on the same double
+    for alpha, beta in [(0.0, 0.0), (0.0, -0.5), (0.5, 0.5), (1.0, 0.0), (3.0, 1.0),
+                        (7.0, 3.0), (40.0, 40.0), (80.0, 80.0)]:
+        for n in [*range(1, 121), 1400]:
+            assert largest_zero(JacobiIndex(alpha, beta, n)).t_nn == \
+                _two_pass_largest_zero(alpha, beta, n), (alpha, beta, n)
 
 
 def test_ordering_lemma_random_points():
