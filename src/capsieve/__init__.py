@@ -62,6 +62,8 @@ from .specfun import (
     jacobi_eval_rows,
     jacobi_norm_sq,
     largest_zero,
+    largest_zero_estimate,
+    largest_zeros,
     log_gamma,
     mehler_heine_residual,
     tail_quadrature,
@@ -72,7 +74,8 @@ __all__ = [
     # specfun
     "JacobiIndex", "ZeroResult", "QuadratureRule",
     "jacobi_eval", "jacobi_eval_rows", "jacobi_at_one", "jacobi_derivative",
-    "jacobi_norm_sq", "largest_zero", "gauss_jacobi_rule", "tail_quadrature",
+    "jacobi_norm_sq", "largest_zero", "largest_zero_estimate", "largest_zeros",
+    "gauss_jacobi_rule", "tail_quadrature",
     "log_gamma", "incomplete_beta", "bessel_j", "bessel_first_zero",
     "mehler_heine_residual",
     # manifold

@@ -2,7 +2,7 @@
 
 Subcommands:
   bound    constants report for one (space, K [, delta])
-  zeros    largest Jacobi zero with bound and asymptotic estimate
+  zeros    certified largest Jacobi zero, its bound and its Newton start
   limit    large-K limit constant of A_K
   density  maximum Nyquist density of a region file
   table    CSV sweep of (K, t_KK, T2, A_K)
@@ -40,7 +40,7 @@ from .sieve import (
     nyquist_delta,
     t2_constant,
 )
-from .specfun import JacobiIndex, bessel_first_zero, euler_rayleigh_bound, largest_zero
+from .specfun import JacobiIndex, euler_rayleigh_bound, largest_zero, largest_zero_estimate
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -93,14 +93,13 @@ def _cmd_zeros(args) -> int:
         raise ValueError(f"K must be >= 1 and in the index set of {space.space_id}")
     idx = JacobiIndex(space.alpha, space.beta, args.K)
     zero = largest_zero(idx)
-    j1 = bessel_first_zero(space.alpha)
     payload = {
         "space": space.space_id,
         "K": args.K,
         "t_KK": zero.t_nn,
         "theta_K1": zero.theta_n1,
         "euler_rayleigh_bound": euler_rayleigh_bound(idx),
-        "asymptotic_estimate": 1.0 - j1 * j1 / (2.0 * args.K * args.K),
+        "asymptotic_estimate": largest_zero_estimate(idx),
         "bracket_width": zero.bracket_width,
         "meta": _meta(),
     }
@@ -124,6 +123,8 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     region = RegionSpec.from_json(args.region)
     est = max_nyquist_density(region, args.K, args.samples, args.seed)
     rho_used = est.rho + (3.0 * est.std_error if args.margin else 0.0)

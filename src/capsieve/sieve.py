@@ -4,13 +4,20 @@ Computes the sharp cap concentration constant T2(K, delta), the Nyquist
 bound constant A_K, its large-K Bessel limit, and the L^p exponent
 extension.  The suprema over cap centres that these constants multiply
 live in ``region``.
+
+Every constant at (space, K) rests on one row: the largest Jacobi zero
+t_KK and the tail and cap integrals at t_KK, the integrals added when a
+caller first needs them.  Rows live in one bounded cache keyed by
+(alpha, beta, K); a table computes only its missing rows, their zeros in
+one ``largest_zeros`` call and their tails in one recurrence pass.  A row
+holds the same doubles whether it was computed alone or in a batch, so a
+table reads the same from a warm cache as from a cold one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +30,7 @@ from .specfun import (
     incomplete_beta,
     jacobi_at_one,
     jacobi_eval_rows,
-    largest_zero,
+    largest_zeros,
     log_gamma,
     tail_quadrature,
 )
@@ -41,12 +48,35 @@ __all__ = [
 
 _DELTA_SLACK = 1e-12
 _TAIL_NODES = 128  # nodes of every tail rule
+_ROWS_KEPT = 4096
+# (alpha, beta, K) -> [t_KK, tail integral at t_KK, cap integral at t_KK],
+# the integrals None until a caller needs them
+_rows_cache: dict[tuple[float, float, int], list] = {}
 
 
-@lru_cache(maxsize=4096)
-def _largest_zero_t(alpha: float, beta: float, K: int) -> float:
-    # every constant at (space, K) needs t_KK: solve once per (alpha, beta, K)
-    return largest_zero(JacobiIndex(alpha, beta, K)).t_nn
+def _rows(space: SpaceParams, ks, integrals: bool = True) -> list[list]:
+    """[t_KK, tail and cap integrals at t_KK] for each K >= 1 of a nondecreasing ks.
+
+    Rows come from the row cache, which keeps the last 4096 rows added.
+    Missing rows get their zeros from one ``largest_zeros`` call; with
+    ``integrals`` set, rows without integrals get their tails from one
+    ``_tail_values`` pass.
+    """
+    alpha, beta = space.alpha, space.beta
+    found = {k: _rows_cache.get((alpha, beta, k)) for k in ks}
+    missing = [k for k, row in found.items() if row is None]
+    if missing:
+        for k, t_kk in zip(missing, largest_zeros(alpha, beta, missing)):
+            found[k] = _rows_cache[alpha, beta, k] = [t_kk, None, None]
+        while len(_rows_cache) > _ROWS_KEPT:
+            del _rows_cache[next(iter(_rows_cache))]
+    bare = [k for k, row in found.items() if integrals and row[1] is None]
+    if bare:
+        _check_alpha(space)
+        tails = _tail_values(space, bare, [found[k][0] for k in bare])
+        for k, tail in zip(bare, tails):
+            found[k][1:] = tail, _cap_integral(space, found[k][0])
+    return [found[k] for k in ks]
 
 
 def nyquist_delta(space: SpaceParams, K: int) -> float:
@@ -55,19 +85,51 @@ def nyquist_delta(space: SpaceParams, K: int) -> float:
         raise ValueError(f"K={K} not in index set of {space.space_id}")
     if K == 0:
         return space.t_min
-    return _largest_zero_t(space.alpha, space.beta, K)
+    return _rows(space, [K], integrals=False)[0][0]
 
 
 def _tail_integral_sq(space: SpaceParams, ks, deltas) -> list[float]:
     """Integrals over [delta_i, 1] of (P_{K_i}(t)/P_{K_i}(1))^2 against the Jacobi weight.
 
-    ``ks`` is nondecreasing.  Rows with K = 0 are cap integrals (P_0 = 1),
-    taken in closed form: at delta = -1 the factor (1+t)^beta vanishes at
-    the far end of the tail, where a rule cannot absorb it (it is singular
-    there for a half-integer beta, and for large beta the integral rests on
-    the rule's smallest weights).  Every other row uses the 128-node tail
-    rule at its delta, all mapped by one ``tail_quadrature`` call, and all
-    rows share one pass of the recurrence.
+    ``ks`` is nondecreasing.  Raises where the tail rule is unchecked
+    (alpha > 80) or the integral leaves the double range.
+    """
+    _check_alpha(space)
+    return [_checked_tail(space, delta, tail)
+            for delta, tail in zip(deltas, _tail_values(space, ks, deltas))]
+
+
+def _tail_at(space: SpaceParams, K: int, delta: float) -> float:
+    """The tail integral at (K, delta), the cached row's when delta is t_KK."""
+    if K >= 1 and delta == nyquist_delta(space, K):
+        return _checked_tail(space, delta, _rows(space, [K])[0][1])
+    return _tail_integral_sq(space, [K], [delta])[0]
+
+
+def _check_alpha(space: SpaceParams) -> None:
+    if space.alpha > 80.0:  # 5e-12 off 40-digit mpmath at alpha = 80, 2e-10 at 100, 1e-3 at 149
+        raise ValueError(f"alpha={space.alpha:g} of {space.space_id} exceeds 80: the tail rule "
+                         "behind T2 and A_K is checked against mpmath only up to there")
+
+
+def _checked_tail(space: SpaceParams, delta: float, tail: float) -> float:
+    if not 0.0 < tail < math.inf:
+        raise ValueError(f"delta={delta!r} is too close to 1 for {space.space_id}: the tail "
+                         f"integral behind T2 and A_K underflows to {tail!r}, since "
+                         f"(1 - delta)^(alpha + 1) leaves the double range")
+    return tail
+
+
+def _tail_values(space: SpaceParams, ks, deltas) -> list[float]:
+    """The tail integrals of _tail_integral_sq, unchecked.
+
+    Rows with K = 0 are cap integrals (P_0 = 1), taken in closed form: at
+    delta = -1 the factor (1+t)^beta vanishes at the far end of the tail,
+    where a rule cannot absorb it (it is singular there for a half-integer
+    beta, and for large beta the integral rests on the rule's smallest
+    weights).  Every other row uses the 128-node tail rule at its delta, all
+    mapped by one ``tail_quadrature`` call, and all rows share one pass of
+    the recurrence.
 
     P_K has no zero on (t_KK, 1], and by Mehler-Heine P_K(1 - z^2/2K^2)
     behaves like z^-alpha J_alpha(z).  After t = 1 - (1-delta) x the
@@ -76,9 +138,6 @@ def _tail_integral_sq(space: SpaceParams, ks, deltas) -> list[float]:
     floor set by double-precision nodes near 1 and the P_K recurrence at
     every K.
     """
-    if space.alpha > 80.0:  # 5e-12 off 40-digit mpmath at alpha = 80, 2e-10 at 100, 1e-3 at 149
-        raise ValueError(f"alpha={space.alpha:g} of {space.space_id} exceeds 80: the tail rule "
-                         "behind T2 and A_K is checked against mpmath only up to there")
     alpha, beta = space.alpha, space.beta
     first = int(np.searchsorted(ks, 1))
     tails = [_cap_integral(space, delta) for delta in deltas[:first]]
@@ -87,11 +146,6 @@ def _tail_integral_sq(space: SpaceParams, ks, deltas) -> list[float]:
         pk1 = np.array([jacobi_at_one(JacobiIndex(alpha, beta, k)) for k in ks[first:]])
         vals = (jacobi_eval_rows(alpha, beta, ks[first:], rule.nodes) / pk1[:, None]) ** 2
         tails += [float(np.dot(w, v)) for w, v in zip(rule.weights, vals)]
-    for delta, tail in zip(deltas, tails):
-        if not 0.0 < tail < math.inf:
-            raise ValueError(f"delta={delta!r} is too close to 1 for {space.space_id}: the tail "
-                             f"integral behind T2 and A_K underflows to {tail!r}, since "
-                             f"(1 - delta)^(alpha + 1) leaves the double range")
     return tails
 
 
@@ -119,7 +173,7 @@ def t2_constant(space: SpaceParams, K: int, delta: float) -> float:
     normalized degree-K Jacobi polynomial.  Requires t_KK <= delta < 1.
     """
     _check_delta(space, K, delta)
-    return 1.0 / (space.nu_perp * _tail_integral_sq(space, [K], [delta])[0])
+    return 1.0 / (space.nu_perp * _tail_at(space, K, delta))
 
 
 def a_constant(space: SpaceParams, K: int) -> float:
@@ -130,26 +184,28 @@ def a_constant(space: SpaceParams, K: int) -> float:
     """
     if K < 1 or not space.in_index_set(K):
         raise ValueError(f"K must be >= 1 and in the index set of {space.space_id}")
-    t_kk = nyquist_delta(space, K)
-    return _cap_integral(space, t_kk) / _tail_integral_sq(space, [K], [t_kk])[0]
+    t_kk, tail, cap = _rows(space, [K])[0]
+    return cap / _checked_tail(space, t_kk, tail)
 
 
 def constants_table(space: SpaceParams, K_max: int) -> list[dict]:
     """Rows {K, t_KK, T2, A_K} for every K in 1..K_max of the space's index set.
 
     T2 is taken at delta = t_KK, and each row's T2 and A_K share one tail
-    integral; all rows share one pass of the Jacobi recurrence.
+    integral.  Only rows missing from the row cache are computed, all in one
+    zero solve and one pass of the Jacobi recurrence.
     """
     stride = space.index_stride
     if K_max < stride:
         raise ValueError(f"K_max={K_max} leaves no K >= 1 in the index set of "
                          f"{space.space_id}; the smallest admissible K_max is {stride}")
     ks = list(range(stride, K_max + 1, stride))
-    t_kks = [nyquist_delta(space, k) for k in ks]
-    tails = _tail_integral_sq(space, ks, t_kks)
-    return [{"K": k, "t_KK": t_kk, "T2": 1.0 / (space.nu_perp * tail),
-             "A_K": _cap_integral(space, t_kk) / tail}
-            for k, t_kk, tail in zip(ks, t_kks, tails)]
+    out = []
+    for k, (t_kk, tail, cap) in zip(ks, _rows(space, ks)):
+        tail = _checked_tail(space, t_kk, tail)
+        out.append({"K": k, "t_KK": t_kk, "T2": 1.0 / (space.nu_perp * tail),
+                    "A_K": cap / tail})
+    return out
 
 
 def a_infinity(space: SpaceParams) -> float:
@@ -231,17 +287,14 @@ def bound_report(space: SpaceParams, K: int, delta: float | None = None) -> Boun
     if delta is None:
         delta = t_kk
     _check_delta(space, K, delta)
-    # one tail integral serves T2 and A_K unless delta moves off t_KK
-    deltas = [t_kk] if delta == t_kk else [t_kk, delta]
-    tails = _tail_integral_sq(space, [K] * len(deltas), deltas)
     return BoundReport(
         space=space,
         K=K,
         delta=delta,
         t_KK=t_kk,
-        T2=1.0 / (space.nu_perp * tails[-1]),
+        T2=t2_constant(space, K, delta),
         cap_measure_at_tKK=cap_measure(space, t_kk),
-        A_K=_cap_integral(space, t_kk) / tails[0] if K >= 1 else 1.0,
+        A_K=a_constant(space, K) if K >= 1 else 1.0,
         A_infinity=a_infinity(space),
         quadrature_nodes=_TAIL_NODES,
     )

@@ -7,12 +7,17 @@ kind with their first positive zero.
 
 Everything is plain double precision; gamma ratios go through log-gamma
 differences so endpoint values and norms stay finite for large degrees.
-Bessel J is one backward recurrence (Miller) for every order >= -1/2.
+One three-term recurrence gives every Jacobi value, and its Sturm count.
+Largest zeros come from one engine: Newton from Gatteschi's asymptotic
+start, certified to one ulp by the Sturm counts of two passes, over one
+degree or many degrees of a family at once.  Bessel J is one backward
+recurrence (Miller) for every order >= -1/2.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,7 +35,9 @@ __all__ = [
     "jacobi_derivative",
     "jacobi_norm_sq",
     "euler_rayleigh_bound",
+    "largest_zero_estimate",
     "largest_zero",
+    "largest_zeros",
     "gauss_jacobi_rule",
     "tail_quadrature",
     "log_gamma",
@@ -121,28 +128,37 @@ def _check_t(t):
     return np.clip(arr, -1.0, 1.0)
 
 
-def _jacobi_raw(alpha: float, beta: float, n, t, previous: bool = False):
+def _jacobi_raw(alpha: float, beta: float, n, t, previous: bool = False, sturm: bool = False):
     """Upward three-term recurrence.
 
     Either n is one degree and t a scalar or an ndarray, or n is a
     nondecreasing sequence of degrees >= 1, one per row of a 2-D t.  Row i
     is then taken when the recurrence reaches n[i], and finished rows leave
     the arithmetic, so one pass costs sum(n) * t.shape[1] steps.  With
-    ``previous`` set and one degree n >= 1, the pair (P_{n-1}, P_n) is
-    returned from the same pass.
+    ``previous`` set (n >= 1), the pair (P_{n-1}, P_n) is returned from the
+    same pass.  With ``sturm`` set, the number of zeros of P_n in [t, 1] is
+    returned instead, a P_n that rounds to 0.0 counting as a zero at t.
+    P_0, ..., P_n is a Sturm sequence (Golub & Van Loan, Matrix Computations,
+    8.4): leading coefficients are positive and P_{k+1} = (a_k t + b_k) P_k
+    - c_k P_{k-1} with c_k > 0, so the zeros above t are its sign changes.  A
+    zero P_k with k < n sits between neighbours of opposite sign.
     """
     ab = alpha + beta
-    if isinstance(n, (int, np.integer)):
+    single = isinstance(n, (int, np.integer))
+    if single:
         if n == 0:
             return np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
-        stops, counts, out = (n,), (1,), None
+        stops, counts = (n,), (1,)
     else:
         if np.ndim(t) != 2 or len(n) != len(t) or n[0] < 1 or np.any(np.diff(n) < 0):
             raise ValueError("degrees must be >= 1, nondecreasing and one per row of a 2-D t")
-        stops, counts = np.unique(n, return_counts=True)
-        out = np.empty_like(t)
+        stops, counts = zip(*sorted(Counter(n).items()))
+        outs = [np.empty(t.shape, np.int64) if sturm else np.empty_like(t)]
+        if previous and not sturm:
+            outs.append(np.empty_like(t))
     pm = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
     pc = 0.5 * ((ab + 2.0) * t + (alpha - beta))
+    changes = 1 * (pc < 0.0) if sturm else 0
     start, done = 1, 0
     for stop, count in zip(stops, counts):
         for k in range(start, stop):
@@ -152,12 +168,21 @@ def _jacobi_raw(alpha: float, beta: float, n, t, previous: bool = False):
             b_k = (alpha * alpha - beta * beta) * (tmp + 1.0) / (den * tmp)
             c_k = (k + alpha) * (k + beta) * (tmp + 2.0) / (0.5 * den * tmp)
             pm, pc = pc, (a_k * t + b_k) * pc - c_k * pm
-        if out is None:
-            return (pm, pc) if previous else pc
-        out[done:done + count] = pc[:count]
+            if sturm:
+                changes = changes + ((pc < 0.0) != (pm < 0.0))
+        if sturm:  # a zero P_n counts: just below t its sign is opposite to P_{n-1}'s
+            got = (changes + ((pc == 0.0) & (pm >= 0.0)),)
+        else:
+            got = (pm, pc) if previous else (pc,)
+        if single:
+            return got if len(got) == 2 else got[0]
+        for out, val in zip(outs, got):
+            out[done:done + count] = val[:count]
         pm, pc, t = pm[count:], pc[count:], t[count:]
+        if sturm:
+            changes = changes[count:]
         start, done = stop, done + count
-    return out
+    return tuple(outs) if len(outs) == 2 else outs[0]
 
 
 def jacobi_eval(idx: JacobiIndex, t):
@@ -219,62 +244,211 @@ def jacobi_norm_sq(idx: JacobiIndex, projective: bool = False) -> float:
 
 def euler_rayleigh_bound(idx: JacobiIndex) -> float:
     """Upper bound 1 - 2(alpha+1)/(n(n+alpha+beta+1)) on the largest zero."""
-    n = idx.n
-    if n < 1:
+    if idx.n < 1:
         raise ValueError("degree must be >= 1")
-    return 1.0 - 2.0 * (idx.alpha + 1.0) / (n * (n + idx.alpha + idx.beta + 1.0))
+    return _euler_rayleigh(idx.alpha, idx.beta, idx.n)
 
 
-def largest_zero(idx: JacobiIndex) -> ZeroResult:
-    """Largest zero t_nn of P_n^(alpha,beta), n >= 1.
+def _euler_rayleigh(alpha: float, beta: float, n: int) -> float:
+    return 1.0 - 2.0 * (alpha + 1.0) / (n * (n + alpha + beta + 1.0))
 
-    Newton's method starts at the Euler-Rayleigh upper bound.  All zeros of
-    P_n are real, so above the largest one P_n, P_n' and P_n'' are positive
-    and Newton iterates fall monotonically onto t_nn.  The first iterate
-    where P_n <= 0 (roundoff near the zero) closes a bracket with the
-    previous one, which is bisected to width 1e-15.  Each Newton step takes
-    P_n and P_{n-1} from one recurrence pass and forms the derivative by
-    Szego, Orthogonal Polynomials, (4.5.7):
-    (2n+alpha+beta)(1-x)(1+x) P_n' = n(alpha-beta-(2n+alpha+beta)x) P_n
-    + 2(n+alpha)(n+beta) P_{n-1}.
+
+def largest_zero_estimate(idx: JacobiIndex) -> float:
+    """Newton start of largest_zero: Gatteschi's cos(j_{alpha,1} / nu), capped.
+
+    The cap is euler_rayleigh_bound, and
+    nu = sqrt(rho^2 + (1 - alpha^2 - 3 beta^2)/12), rho = n + (alpha+beta+1)/2
+    (Gatteschi & Pittaluga 1985; the start of Hale & Townsend, SIAM J. Sci.
+    Comput. 35 (2013)).  Where nu^2 <= 0, j/nu >= pi or J_alpha leaves the
+    double range (alpha above about 1900), the bound itself is returned.
     """
     if idx.n < 1:
         raise ValueError("degree must be >= 1")
-    alpha, beta, n = idx.alpha, idx.beta, idx.n
+    return _zero_start(idx.alpha, idx.beta, idx.n, _start_bessel_zero(idx.alpha))
+
+
+def _start_bessel_zero(alpha: float) -> float:
+    try:
+        return bessel_first_zero(alpha)
+    except ValueError:  # J_alpha beyond double precision: no estimate, start at the bound
+        return math.inf
+
+
+def _zero_start(alpha: float, beta: float, n: int, j: float) -> float:
+    bound = _euler_rayleigh(alpha, beta, n)
+    rho = n + 0.5 * (alpha + beta + 1.0)
+    nu_sq = rho * rho + (1.0 - alpha * alpha - 3.0 * beta * beta) / 12.0
+    if not j * j < math.pi * math.pi * nu_sq:
+        return bound
+    return min(math.cos(j / math.sqrt(nu_sq)), bound)
+
+
+def _slope(alpha, beta, n, x, pm, p):
+    """P_n'(x) from P_n and P_{n-1}, elementwise (Szego, Orthogonal Polynomials, (4.5.7)).
+
+    (2n+alpha+beta)(1-x)(1+x) P_n' = n(alpha-beta-(2n+alpha+beta)x) P_n
+    + 2(n+alpha)(n+beta) P_{n-1}.
+    """
     s = 2.0 * n + alpha + beta
-    c = 2.0 * (n + alpha) * (n + beta)
+    return ((n * (alpha - beta - s * x) * p + 2.0 * (n + alpha) * (n + beta) * pm)
+            / (s * (1.0 - x) * (1.0 + x)))
 
-    def f(x: float) -> float:
-        return float(_jacobi_raw(alpha, beta, n, x))
 
-    hi = euler_rayleigh_bound(idx)
-    pm_hi, f_hi = _jacobi_raw(alpha, beta, n, hi, previous=True)
-    if f_hi <= 0.0:
-        # the bound itself sits on the zero to within roundoff (exact for n=1)
-        return ZeroResult(t_nn=hi, theta_n1=math.acos(hi), bracket_width=0.0)
+def _newton_step(alpha, beta, n, x, p, slope):
+    """(x - P_n/P_n', its predicted error), elementwise.
 
-    for _step in range(200):
-        slope = (n * (alpha - beta - s * hi) * f_hi + c * pm_hi) / (s * (1.0 - hi) * (1.0 + hi))
-        lo = hi - f_hi / slope
-        if not lo < hi:  # the step fell below one ulp
-            lo = math.nextafter(hi, -math.inf)
-        pm_lo, f_lo = _jacobi_raw(alpha, beta, n, lo, previous=True)
-        if f_lo <= 0.0:
+    P_n'' comes from Jacobi's equation, (1-x^2) P_n'' =
+    (alpha-beta+(alpha+beta+2)x) P_n' - n(n+alpha+beta+1) P_n, and the new
+    iterate is off by about |P_n'' / (2 P_n')| times the square of the step.
+    """
+    step = p / slope
+    curve = (((alpha - beta + (alpha + beta + 2.0) * x) * slope - n * (n + alpha + beta + 1.0) * p)
+             / (2.0 * (1.0 - x) * (1.0 + x) * slope))
+    return x - step, abs(curve) * step * step
+
+
+_NEWTON_STEPS = 100
+_SEARCH_STEPS = 1100  # doublings of one ulp: enough to cross [-1, 1] from anywhere
+# Fewer rows than this are solved one by one.  A batched pass costs a few
+# numpy calls per recurrence step, a scalar one a few float operations per
+# step and row.  Replaying the perfbench table workload in one process, the
+# zero solves took 30.5 ms with this cut, 38.3 ms with every add batched and
+# 44.7 ms with none: its adds of 1-11 rows run faster one by one, its adds of
+# 52-68 rows faster batched.
+_BATCH_ROWS = 32
+
+
+def _newton(alpha: float, beta: float, n: int, x: float) -> float:
+    """Newton's iterates from x until the next one is predicted within an ulp; that one."""
+    bound = _euler_rayleigh(alpha, beta, n)
+    for _step in range(_NEWTON_STEPS):
+        pm, p = _jacobi_raw(alpha, beta, n, x, previous=True)
+        if p == 0.0:
+            return x
+        slope = _slope(alpha, beta, n, x, pm, p)
+        new, err = _newton_step(alpha, beta, n, x, p, slope) if slope > 0.0 else (x, math.inf)
+        if not (slope > 0.0 and new > -1.0):
+            # below a turning point, or thrown below -1: restart above every zero
+            x = bound
+        elif err <= math.ulp(new):
+            return min(new, bound)
+        else:
+            x = min(new, bound)
+    raise RuntimeError("Newton iteration for the largest zero did not stop")  # pragma: no cover
+
+
+def _certified(alpha: float, beta: float, n: int, x: float) -> float:
+    """The certified largest zero nearest Newton's last iterate x.
+
+    hi is certified when the Sturm count finds no zero of P_n in [hi, 1] and
+    exactly one in [lo, 1], lo = nextafter(hi, -1): the largest zero then
+    lies in [lo, hi).  Usually x or the double next to it is hi, and two
+    passes show it.  Near t = 0 an ulp is finer than Newton's absolute
+    accuracy; there the step from x towards the sign change doubles until it
+    crosses it, and the crossed gap is halved down to one ulp.  A count
+    above one means Newton found a lower zero, and it descends again from
+    the Euler-Rayleigh bound, above every zero.
+    """
+    for _attempt in range(2):
+        zeros = _jacobi_raw(alpha, beta, n, x, sturm=True)
+        step = math.nextafter(x, math.inf if zeros else -math.inf) - x
+        for _gallop in range(_SEARCH_STEPS if zeros < 2 else 0):
+            y = x + step
+            zeros_y = _jacobi_raw(alpha, beta, n, y, sturm=True)
+            if zeros_y > 1 and zeros:
+                break
+            if (zeros_y == 0) != (zeros == 0):
+                lo, hi, below = (x, y, zeros) if zeros else (y, x, zeros_y)
+                mid = 0.5 * (lo + hi)
+                while lo < mid < hi:
+                    zeros_mid = _jacobi_raw(alpha, beta, n, mid, sturm=True)
+                    lo, hi, below = (mid, hi, zeros_mid) if zeros_mid else (lo, mid, below)
+                    mid = 0.5 * (lo + hi)
+                if below == 1:
+                    return hi
+                break
+            x, step = y, 2.0 * step
+        x = _newton(alpha, beta, n, _euler_rayleigh(alpha, beta, n))
+    raise RuntimeError(f"no certified largest zero of P_{n}^({alpha}, {beta}) "
+                       f"near {x!r}")  # pragma: no cover
+
+
+def _batch_zeros(alpha: float, beta: float, degrees: list[int], j: float) -> list[float]:
+    """_one_zero of each degree, one recurrence pass per Newton step over all rows.
+
+    Every row takes the scalar path's decisions on the same doubles, so it
+    ends on the same double; finished rows leave the pass.  One Sturm pass
+    then checks the pairs one ulp either side of each last iterate, and the
+    rows whose sign change lies further go through _certified.
+    """
+    ns = np.array(degrees)
+    bound = np.array([_euler_rayleigh(alpha, beta, n) for n in degrees])
+    x = np.array([_zero_start(alpha, beta, n, j) for n in degrees])
+    rows, last = np.arange(len(degrees)), np.empty(len(degrees))
+    for _step in range(_NEWTON_STEPS):
+        if not rows.size:
             break
-        hi, f_hi, pm_hi = lo, f_lo, pm_lo
+        pm, p = (v[:, 0] for v in _jacobi_raw(alpha, beta, ns[rows], x[:, None], previous=True))
+        slope = _slope(alpha, beta, ns[rows], x, pm, p)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new, err = _newton_step(alpha, beta, ns[rows], x, p, slope)
+        zero, moves = p == 0.0, (slope > 0.0) & (new > -1.0)
+        stop = zero | (moves & (err <= np.spacing(np.abs(new))))
+        last[rows[stop]] = np.where(zero, x, np.minimum(new, bound[rows]))[stop]
+        x = np.where(moves, np.minimum(new, bound[rows]), bound[rows])[~stop]
+        rows = rows[~stop]
     else:  # pragma: no cover
         raise RuntimeError("Newton iteration for the largest zero did not stop")
+    near = np.stack([np.nextafter(last, -np.inf), last, np.nextafter(last, np.inf)], axis=1)
+    zeros = _jacobi_raw(alpha, beta, degrees, near, sturm=True)
+    out = np.where(zeros[:, 1] == 0, last, near[:, 2]).tolist()
+    settled = np.where(zeros[:, 1] == 0, zeros[:, 0] == 1, (zeros[:, 1] == 1) & (zeros[:, 2] == 0))
+    for i in np.flatnonzero(~settled):
+        out[i] = _certified(alpha, beta, degrees[i], float(last[i]))
+    return out
 
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    t = 0.5 * (lo + hi)
-    return ZeroResult(t_nn=t, theta_n1=math.acos(min(t, 1.0)), bracket_width=hi - lo)
+
+def largest_zeros(alpha: float, beta: float, degrees) -> list[float]:
+    """Largest zero of P_n^(alpha,beta) for each n of a nondecreasing sequence of degrees >= 1.
+
+    n = 1 is the closed form (beta-alpha)/(alpha+beta+2).  Every other zero
+    starts Newton's method at largest_zero_estimate, each step taking P_n and
+    P_{n-1} from one recurrence pass; it stops when the next iterate is
+    predicted within an ulp.  The zero t is then certified by the Sturm
+    counts of two passes: P_n has no zero in [t, 1] and exactly one in
+    [nextafter(t, -1), 1].  Many degrees share each pass; a zero is the same
+    double whether it is solved alone or with others.
+    """
+    JacobiIndex(alpha, beta, 0)  # checks the parameters
+    degrees = [int(n) for n in degrees]
+    if degrees and (degrees[0] < 1 or any(b < a for a, b in zip(degrees, degrees[1:]))):
+        raise ValueError("degrees must be >= 1 and nondecreasing")
+    ones = degrees.count(1)
+    rest = degrees[ones:]
+    out = [(beta - alpha) / (alpha + beta + 2.0)] * ones
+    if not rest:
+        return out
+    j = _start_bessel_zero(alpha)
+    if len(rest) >= _BATCH_ROWS:
+        return out + _batch_zeros(alpha, beta, rest, j)
+    return out + [_one_zero(alpha, beta, n, j) for n in rest]
+
+
+def _one_zero(alpha: float, beta: float, n: int, j: float) -> float:
+    return _certified(alpha, beta, n, _newton(alpha, beta, n, _zero_start(alpha, beta, n, j)))
+
+
+def largest_zero(idx: JacobiIndex) -> ZeroResult:
+    """Largest zero t_nn of P_n^(alpha,beta), n >= 1, as certified by largest_zeros.
+
+    P_n has no zero in [t_nn, 1] and one in [t_nn - bracket_width, t_nn):
+    bracket_width is one ulp.  At n = 1 the closed form has bracket_width 0.
+    """
+    if idx.n < 1:
+        raise ValueError("degree must be >= 1")
+    t = largest_zeros(idx.alpha, idx.beta, [idx.n])[0]
+    width = 0.0 if idx.n == 1 else t - math.nextafter(t, -math.inf)
+    return ZeroResult(t_nn=t, theta_n1=math.acos(t), bracket_width=width)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +593,7 @@ def bessel_j(alpha: float, z: float) -> float:
     return _bessel_pair(alpha, z)[0]
 
 
+@lru_cache(maxsize=256)  # one per family for every zero solve
 def bessel_first_zero(alpha: float) -> float:
     """Smallest positive zero j_{alpha,1} of J_alpha, alpha >= -1/2.
 

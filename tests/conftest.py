@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import capsieve as cs
+from capsieve import sieve
 
 settings.register_profile(
     "ci", max_examples=40, deadline=None,
@@ -12,6 +13,12 @@ settings.load_profile("ci")
 
 # (alpha, beta) pairs of the five families at small admissible dimension
 FAMILY_SPACE_IDS = ("s2", "rp2", "cp4", "hp8", "cay16")
+
+
+@pytest.fixture(autouse=True)
+def cold_rows():
+    """Each test starts with an empty row cache, so call counts do not depend on test order."""
+    sieve._rows_cache.clear()
 
 
 @pytest.fixture(scope="session")

@@ -127,7 +127,16 @@ def test_density_rejects_zero_samples(tmp_path, capsys):
                              "--samples", "0")
     assert code == 1
     assert out == ""
-    assert "n_per_center must be >= 1" in err
+    assert err == "error: --samples must be >= 1, got 0\n"
+
+
+def test_density_rejects_negative_samples(tmp_path, capsys):
+    # the message names the flag, not the library's argument
+    path = _region_file(tmp_path, [{"center": [0.0, 0.0, 1.0], "delta": 0.9}])
+    code, out, err = run_cli(capsys, "density", "--region", path, "--K", "5",
+                             "--samples", "-3")
+    assert (code, out) == (1, "")
+    assert err == "error: --samples must be >= 1, got -3\n"
 
 
 def test_density_rejects_too_many_samples(tmp_path, capsys):
@@ -280,15 +289,34 @@ def test_table_solves_one_zero_per_row(capsys, monkeypatch):
 
     calls = []
 
-    def counting(idx):
-        calls.append(idx)
-        return cs.largest_zero(idx)
+    def counting(alpha, beta, degrees):
+        calls.append(list(degrees))
+        return cs.largest_zeros(alpha, beta, degrees)
 
-    monkeypatch.setattr(sieve, "largest_zero", counting)
-    sieve._largest_zero_t.cache_clear()
+    monkeypatch.setattr(sieve, "largest_zeros", counting)
     code, _, _ = run_cli(capsys, "table", "s2", "--K-max", "20")
     assert code == 0
-    assert sorted(idx.n for idx in calls) == list(range(1, 21))
+    assert calls == [list(range(1, 21))]
+
+
+@pytest.mark.parametrize("warm_up", [["30"], ["30", "40", "50"]])
+def test_warm_table_solves_nothing_and_prints_the_cold_bytes(capsys, monkeypatch, warm_up):
+    # rows 31..60 come from one batch after 30, and one by one after 30, 40, 50
+    from capsieve import sieve, specfun
+
+    cold = run_cli(capsys, "table", "s2", "--K-max", "60")[1]
+    sieve._rows_cache.clear()
+    for k_max in warm_up:
+        run_cli(capsys, "table", "s2", "--K-max", k_max)
+    assert run_cli(capsys, "table", "s2", "--K-max", "60")[1] == cold
+    real_raw, real_zeros, calls = specfun._jacobi_raw, sieve.largest_zeros, []
+    monkeypatch.setattr(specfun, "_jacobi_raw",
+                        lambda *a, **kw: calls.append("pass") or real_raw(*a, **kw))
+    monkeypatch.setattr(sieve, "largest_zeros",
+                        lambda *a: calls.append("zeros") or real_zeros(*a))
+    code, out, _ = run_cli(capsys, "table", "s2", "--K-max", "45")
+    assert (code, calls) == (0, [])
+    assert out.splitlines() == cold.splitlines()[:46]
 
 
 def test_table_runs_one_batched_recurrence(capsys, monkeypatch):

@@ -26,6 +26,8 @@ from capsieve.specfun import (
     jacobi_eval_rows,
     jacobi_norm_sq,
     largest_zero,
+    largest_zero_estimate,
+    largest_zeros,
     log_gamma,
     mehler_heine_residual,
     tail_quadrature,
@@ -423,9 +425,9 @@ def test_largest_zero_against_mpmath():
 
 
 def _two_pass_largest_zero(alpha, beta, n):
-    # reference: each Newton step runs a second recurrence for
-    # P_n' = (n+alpha+beta+1)/2 * P_{n-1}^(alpha+1,beta+1); start, descent,
-    # bracket and bisection as in largest_zero
+    # reference: Newton's descent from the Euler-Rayleigh bound, each step
+    # with a second recurrence for P_n' = (n+alpha+beta+1)/2 *
+    # P_{n-1}^(alpha+1,beta+1), and bisection of the last bracket to 1e-15
     fac = 0.5 * (n + alpha + beta + 1.0)
 
     def f(x):
@@ -454,13 +456,95 @@ def _two_pass_largest_zero(alpha, beta, n):
     return 0.5 * (lo + hi)
 
 
+# (alpha, beta) of s2, rp2, s3, cp4, hp8, cay16, s82 and s162
+CERTIFIED_AB = [(0.0, 0.0), (0.0, -0.5), (0.5, 0.5), (1.0, 0.0), (3.0, 1.0), (7.0, 3.0),
+                (40.0, 40.0), (80.0, 80.0)]
+
+
+def test_sturm_count_matches_the_zeros_above():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(7)
+    for alpha, beta in CERTIFIED_AB:
+        for n in (1, 2, 9, 40):
+            roots = special.roots_jacobi(n, alpha, beta)[0]
+            t = np.sort(np.concatenate([rng.uniform(-1.0, 1.0, 20), roots + 1e-9, roots - 1e-9]))
+            want = [(roots >= x).sum() for x in t]
+            assert [_jacobi_raw(alpha, beta, n, float(x), sturm=True) for x in t] == want
+            rows = _jacobi_raw(alpha, beta, [n, n], np.stack([t, t[::-1]]), sturm=True)
+            assert rows.tolist() == [want, want[::-1]]
+
+
+def test_largest_zeros_carry_the_sturm_certificate():
+    # P_n has no zero in [t, 1] and exactly one in [nextafter(t, -1), 1]
+    for alpha, beta in CERTIFIED_AB:
+        degrees = [*range(1, 201), 1400, 20000]
+        zeros = largest_zeros(alpha, beta, degrees)
+        assert zeros[0] == (beta - alpha) / (alpha + beta + 2.0)  # n = 1: closed form
+        for n, t in zip(degrees[1:], zeros[1:]):
+            below = math.nextafter(t, -math.inf)
+            assert _jacobi_raw(alpha, beta, n, t, sturm=True) == 0, (alpha, beta, n)
+            assert _jacobi_raw(alpha, beta, n, below, sturm=True) == 1, (alpha, beta, n)
+
+
+@pytest.mark.parametrize("alpha,beta,n", [(0.5, 0.5, 2), (40.0, 40.0, 6), (40.0, 40.0, 68)])
+def test_a_zero_that_rounds_to_zero_counts(alpha, beta, n):
+    # P_n rounds to 0.0 one ulp below the certified zero; it counts as that zero
+    t = largest_zero(JacobiIndex(alpha, beta, n)).t_nn
+    below = math.nextafter(t, -math.inf)
+    assert _jacobi_raw(alpha, beta, n, below) == 0.0
+    assert _jacobi_raw(alpha, beta, n, below, sturm=True) == 1
+    assert _jacobi_raw(alpha, beta, n, t, sturm=True) == 0
+
+
 def test_largest_zero_matches_the_two_pass_newton():
-    # P_n' from P_n and P_{n-1} of one pass (Szego 4.5.7) lands on the same double
-    for alpha, beta in [(0.0, 0.0), (0.0, -0.5), (0.5, 0.5), (1.0, 0.0), (3.0, 1.0),
-                        (7.0, 3.0), (40.0, 40.0), (80.0, 80.0)]:
+    # the certified double lies within 2^-51 (4.4e-16) of the reference, which
+    # is the midpoint of a bisection bracket of width at most 1e-15
+    for alpha, beta in CERTIFIED_AB:
         for n in [*range(1, 121), 1400]:
-            assert largest_zero(JacobiIndex(alpha, beta, n)).t_nn == \
-                _two_pass_largest_zero(alpha, beta, n), (alpha, beta, n)
+            res = largest_zero(JacobiIndex(alpha, beta, n))
+            assert abs(res.t_nn - _two_pass_largest_zero(alpha, beta, n)) <= 2.0 ** -51, \
+                (alpha, beta, n)
+            if n > 1:
+                assert res.bracket_width == res.t_nn - math.nextafter(res.t_nn, -math.inf)
+                assert _jacobi_raw(alpha, beta, n, res.t_nn, sturm=True) == 0
+                assert _jacobi_raw(alpha, beta, n, res.t_nn - res.bracket_width, sturm=True) == 1
+
+
+def test_largest_zeros_batch_equals_one_by_one():
+    # 32 or more degrees share each Newton pass; every zero is the same double
+    for alpha, beta in CERTIFIED_AB:
+        degrees = [*range(1, 80), 300, 1000]
+        one_by_one = [largest_zero(JacobiIndex(alpha, beta, n)).t_nn for n in degrees]
+        assert largest_zeros(alpha, beta, degrees) == one_by_one
+        assert largest_zeros(alpha, beta, degrees[::3]) == one_by_one[::3]
+
+
+def test_largest_zeros_domain():
+    assert largest_zeros(0.0, 0.0, []) == []
+    for degrees in ([0, 1], [3, 2]):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            largest_zeros(0.0, 0.0, degrees)
+    with pytest.raises(ValueError, match="alpha"):
+        largest_zeros(-0.7, 0.0, [2])
+    # J_alpha leaves the double range: Newton starts at the Euler-Rayleigh bound
+    idx = JacobiIndex(2500.0, 0.0, 5)
+    assert largest_zero_estimate(idx) == euler_rayleigh_bound(idx)
+    t = largest_zero(idx).t_nn
+    assert _jacobi_raw(2500.0, 0.0, 5, t, sturm=True) == 0
+    assert _jacobi_raw(2500.0, 0.0, 5, math.nextafter(t, -math.inf), sturm=True) == 1
+
+
+def test_largest_zero_estimate_is_close_and_below_the_bound():
+    # Gatteschi's estimate is asymptotic in n: its error relative to 1 - t_nn
+    # is at most 0.1 at (80, 80) and n = 10, and 2.2e-6 there at n = 1000
+    for alpha, beta in CERTIFIED_AB:
+        errs = []
+        for n in (1, 2, 10, 100, 1000):
+            idx = JacobiIndex(alpha, beta, n)
+            est, t = largest_zero_estimate(idx), largest_zero(idx).t_nn
+            assert est <= euler_rayleigh_bound(idx)
+            errs.append(abs(est - t) / (1.0 - t))
+        assert max(errs[2:]) <= 0.11 and errs[-1] <= 1e-5, (alpha, beta, errs)
 
 
 def test_ordering_lemma_random_points():
