@@ -170,12 +170,23 @@ def _check(name: str, value: float, threshold: float, ok: bool) -> dict:
             "pass": bool(ok)}
 
 
-def _suite_ordering(space_id: str, K: int, seed: int) -> list[dict]:
+def _top_index_k(space, K: int, suite: str) -> int:
+    """The largest k <= --K in the index set of the space; it must be >= 1."""
+    k = K - K % space.index_stride
+    if k < 1:
+        raise ValueError(f"--K={K} leaves no K >= 1 in the index set of {space.space_id} for "
+                         f"the {suite} suite; the smallest admissible --K is {space.index_stride}")
+    return k
+
+
+def _suite_ordering(space_id: str, K: int) -> list[dict]:
+    """The two Sturm zero counts of ordering_check at the top index-set K; each passes at 0."""
     space = space_from_id(space_id)
-    k_eff = K if space.in_index_set(K) else K - (K % space.index_stride)
-    worst = ordering_check(space, k_eff, 500, seed)
-    return [_check(f"ordering[{space.space_id},K={k_eff}]", worst, -1e-12,
-                   worst >= -1e-12)]
+    k = _top_index_k(space, K, "ordering")
+    counts = ordering_check(space, k)
+    names = ("P_K^(a,b) in (t_KK,1]", "P_K-1^(a+1,b) in [t_KK,1]")
+    return [_check(f"ordering[{space.space_id},K={k},zeros of {name}]", count, 0, count == 0)
+            for name, count in zip(names, counts)]
 
 
 def _suite_extremal(space_id: str, K: int) -> list[dict]:
@@ -185,8 +196,7 @@ def _suite_extremal(space_id: str, K: int) -> list[dict]:
     relative distance outside [T2_lower, T2_upper]; it passes at 1e-12.
     """
     space = space_from_id(space_id)
-    if K < 1:
-        raise ValueError(f"the extremal suite needs K >= 1, got {K}")
+    _top_index_k(space, K, "extremal")
     checks = []
     for k in sorted({k for k in (2, 4, min(K, 4)) if k <= K and space.in_index_set(k)}):
         t_kk = nyquist_delta(space, k)
@@ -202,16 +212,20 @@ def _suite_extremal(space_id: str, K: int) -> list[dict]:
 
 
 def _suite_convolution(seed: int) -> list[dict]:
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0 for the convolution suite, got {seed}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(3):
         g = rng.standard_normal(6)
         h = rng.standard_normal(6)
         worst = max(worst, convolution_check(5, g, h, 64))
-    return [_check("convolution[s2,deg<=5]", worst, 1e-7, worst <= 1e-7)]
+    return [_check("convolution[s2,deg<=5]", worst, 1e-12, worst <= 1e-12)]
 
 
 def _suite_spectral(K: int) -> list[dict]:
+    if K < 0:
+        raise ValueError(f"--K must be >= 0 for the spectral suite, got {K}")
     space = space_from_id("s2")
     full = RegionSpec(space=space, caps=(), complement=True)
     res = concentration_eigenvalue(full, K, 2 * K + 8)
@@ -265,7 +279,7 @@ def _cmd_verify(args) -> int:
     checks: list[dict] = []
     for suite in suites:
         if suite == "ordering":
-            checks += _suite_ordering(args.space, args.K, args.seed)
+            checks += _suite_ordering(args.space, args.K)
         elif suite == "extremal":
             checks += _suite_extremal(args.space, args.K)
         elif suite == "convolution":

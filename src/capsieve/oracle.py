@@ -3,9 +3,10 @@
 Nothing here reuses the closed forms it is meant to check: the extremal
 constant is bracketed by certified primal and dual bounds on the discretized
 problem over nonnegative cap profiles, concentration eigenvalues come from
-the spherical-harmonic Gram matrix of a product quadrature grid of S^2, and
-the convolution identity is tested by explicit double integration over the
-sphere.
+the spherical-harmonic Gram matrix of a product quadrature grid of S^2, the
+convolution identity is tested by explicit double integration over the
+sphere, and the source paper's ordering of normalized Jacobi polynomials
+near t = 1 is certified by two Sturm zero counts at t_KK.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .specfun import (
     gauss_jacobi_rule,
     jacobi_at_one,
     jacobi_eval_rows,
+    jacobi_zero_count,
     tail_quadrature,
 )
 
@@ -31,7 +33,6 @@ __all__ = [
     "ExtremalResult",
     "SpectralResult",
     "extremal_bruteforce",
-    "sphere_kernel",
     "sphere_harmonics",
     "concentration_eigenvalue",
     "convolution_check",
@@ -41,7 +42,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExtremalResult:
-    T2_oracle: float  # equals T2_upper, so it never under-estimates
     T2_lower: float
     T2_upper: float
     minimizer_profile: np.ndarray
@@ -84,10 +84,10 @@ def extremal_bruteforce(space: SpaceParams, K: int, delta: float,
     and each dual vertex lambda = e_k gives, by weak duality, the lower bound
     1 / ||max(0, r_k)||_W^2 (Boyd & Vandenberghe 2004, ch. 5).  Both are read
     from one matrix M = (R W) max(0, R)', whose entries are r_j'Wg_k and whose
-    diagonal is ||g_k||_W^2.  The best bound of each kind is returned;
-    T2_oracle is the upper one, and converged means a relative gap of at most
-    1e-12.  For delta >= t_KK the ordering r_k >= r_K >= 0 of the source paper
-    is the KKT condition that closes the gap at the degree-K vertex, whose
+    diagonal is ||g_k||_W^2.  The best bound of each kind is returned, and
+    converged means a relative gap of at most 1e-12.  For delta >= t_KK the
+    ordering r_k >= r_K >= 0 of the source paper (see ordering_check) is the
+    KKT condition that closes the gap at the degree-K vertex, whose
     normalized profile is returned.
     """
     t_kk = nyquist_delta(space, K)
@@ -110,7 +110,7 @@ def extremal_bruteforce(space: SpaceParams, K: int, delta: float,
     t2_upper = float(upper[best]) / space.nu_perp
     t2_lower = float(lower) / space.nu_perp
     return ExtremalResult(
-        T2_oracle=t2_upper, T2_lower=t2_lower, T2_upper=t2_upper,
+        T2_lower=t2_lower, T2_upper=t2_upper,
         minimizer_profile=vertices[best] / np.linalg.norm(vertices[best]), K=K,
         delta=delta, grid_size=grid_size,
         converged=bool(t2_upper - t2_lower <= 1e-12 * t2_lower))
@@ -119,15 +119,6 @@ def extremal_bruteforce(space: SpaceParams, K: int, delta: float,
 # ---------------------------------------------------------------------------
 # Spectral oracle on S^2
 # ---------------------------------------------------------------------------
-
-
-def sphere_kernel(K: int, t) -> np.ndarray | float:
-    """Reproducing kernel of degree-<=K expansions on S^2 at cosine distance t."""
-    coeffs = 2.0 * np.arange(K + 1, dtype=np.float64) + 1.0
-    out = legval(np.asarray(t, dtype=np.float64), coeffs)
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
 
 
 def sphere_grid(n_theta: int):
@@ -255,21 +246,23 @@ def convolution_check(K: int, g_coeffs, h_coeffs, n_theta: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def ordering_check(space: SpaceParams, K: int, n_samples: int, seed: int) -> float:
-    """Numerical certificate for the endpoint ordering of normalized polynomials.
+def ordering_check(space: SpaceParams, K: int) -> tuple[int, int]:
+    """Zero counts that certify r_0 >= r_1 >= ... >= r_K >= 0 on [t_KK, 1], r_n = P_n/P_n(1).
 
-    Samples t uniformly in [t_KK, 1) and returns the most negative value of
-    both the consecutive differences r_{k-1}(t) - r_k(t) over the index set
-    and of the ratios r_k(t) themselves; a nonnegative return certifies the
-    monotone ordering.
+    Returns the Sturm counts of the zeros of P_K^(alpha,beta) in (t_KK, 1]
+    and of P_{K-1}^(alpha+1,beta) in [t_KK, 1]; (0, 0) certifies the
+    ordering.  The first gives r_K >= 0.  For the second, r_n - r_{n+1} is a
+    positive multiple of (1 - t) P_n^(alpha+1,beta)(t) (DLMF 18.9.5), and the
+    largest zero of P_n^(alpha+1,beta) grows with n (the zeros of
+    consecutive orthogonal polynomials interlace), so the top degree decides
+    for every n < K.  The ordering over all degrees implies the one over
+    the even index set of a real projective space.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    t_kk = nyquist_delta(space, K)
-    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-    t = t_kk + (1.0 - t_kk) * rng.random(n_samples)
-    ratios = _ratio_rows(space, K, t)
-    return min(float(ratios.min()), float((ratios[:-1] - ratios[1:]).min()))
+    t_kk, alpha, beta = nyquist_delta(space, K), space.alpha, space.beta
+    return (jacobi_zero_count(JacobiIndex(alpha, beta, K), math.nextafter(t_kk, 2.0)),
+            jacobi_zero_count(JacobiIndex(alpha + 1.0, beta, K - 1), t_kk))
 
 
 def limit_check(space: SpaceParams, k_list) -> list[tuple[int, float, float]]:

@@ -1,7 +1,7 @@
 """Cap geometry on the model spaces S^d and P^d(R).
 
 Regions are boolean combinations (union, optional complement) of geodesic
-caps.  Membership, cap-restricted sampling, Monte Carlo intersection
+caps.  Membership, the cap sample around e_0, Monte Carlo intersection
 fractions, and the two suprema over cap centres live here.  The maximum
 Nyquist density rho of a region is searched (candidate centres, then
 spherical coordinate descent) and every centre is scored on one cap sample
@@ -32,12 +32,8 @@ __all__ = [
     "RegionSpec",
     "DensityEstimate",
     "MeasureSpec",
-    "cap_contains",
     "cos_distance",
     "candidate_centers",
-    "sample_cap",
-    "sample_space",
-    "cap_fraction",
     "max_nyquist_density",
     "measure_bound",
 ]
@@ -67,16 +63,6 @@ def cos_distance(space: SpaceParams, x: np.ndarray, centers: np.ndarray) -> np.n
     if space.family is Family.REAL_PROJECTIVE:
         dots = np.abs(dots)
     return dots
-
-
-def cap_contains(space: SpaceParams, center, delta: float, x) -> np.ndarray | bool:
-    """Whether x lies in the cap of parameter delta around center (boundary included)."""
-    c = _as_unit(center)
-    pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    inside = cos_distance(space, pts, c) >= delta
-    if np.ndim(x) == 1:
-        return bool(inside[0])
-    return inside
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -319,32 +305,6 @@ def _fractions(region: RegionSpec, centers: np.ndarray, pts: np.ndarray) -> np.n
                                     (n, chunk.shape[0]))
         out[start:start + step] = np.count_nonzero(inside, axis=0) / n
     return out
-
-
-def sample_cap(space: SpaceParams, center, delta: float, n: int, seed: int) -> np.ndarray:
-    """n points distributed as the invariant measure restricted to a cap.
-
-    A sample around e_0 (see ``_pole_sample``) is moved to the center by a
-    reflection, so a seed gives the same points relative to every center.
-    Fully deterministic given the seed.
-    """
-    pts = _pole_sample(space, delta, n, seed)
-    return _pole_to(_as_unit(center)[None], pts)[0]
-
-
-def sample_space(space: SpaceParams, n: int, seed: int) -> np.ndarray:
-    """n points from the invariant measure of the whole space."""
-    rng = np.random.default_rng(seed & _SEED_MASK)
-    g = rng.standard_normal((n, space.d + 1))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-def cap_fraction(region: RegionSpec, center, delta: float, n: int,
-                 seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of |Omega intersect cap| / |cap| with its std error."""
-    pts = _pole_sample(region.space, delta, n, seed)
-    f = float(_fractions(region, _as_unit(center)[None], pts)[0])
-    return f, math.sqrt(f * (1.0 - f) / n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Concentration-bound engine.
 
 Computes the sharp cap concentration constant T2(K, delta), the Nyquist
-bound constant A_K, its large-K Bessel limit, and the L^p exponent
-extension.  The suprema over cap centres that these constants multiply
-live in ``region``.
+bound constant A_K and its large-K Bessel limit.  The suprema over cap
+centres that these constants multiply live in ``region``.
 
 Every constant at (space, K) rests on one row: the largest Jacobi zero
 t_KK and the tail and cap integrals at t_KK, the integrals added when a
@@ -17,7 +16,7 @@ table reads the same from a warm cache as from a cold one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "t2_constant",
     "a_constant",
     "a_infinity",
-    "lp_bound",
     "bound_report",
     "constants_table",
     "nyquist_delta",
@@ -224,18 +222,6 @@ def a_infinity(space: SpaceParams) -> float:
     return math.exp(2.0 * log_root) / (alpha + 1.0)
 
 
-def lp_bound(space: SpaceParams, K: int, rho: float, p: float) -> float:
-    """L^p concentration bound min(1, (A_K rho)^min(p-1, 1)) for 1 < p < inf."""
-    if not p > 1.0:
-        raise ValueError("the L^p bound requires p > 1")
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError("rho must lie in [0, 1]")
-    if rho == 0.0:
-        return 0.0
-    expo = min(p - 1.0, 1.0)
-    return min(1.0, (a_constant(space, K) * rho) ** expo)
-
-
 # ---------------------------------------------------------------------------
 # Reporting
 # ---------------------------------------------------------------------------
@@ -252,12 +238,6 @@ class BoundReport:
     A_K: float
     A_infinity: float
     quadrature_nodes: int
-    p_exponent_rule: str = field(default="min(p-1, 1)")
-
-    def p_exponent(self, p: float) -> float:
-        if not p > 1.0:
-            raise ValueError("p must exceed 1")
-        return min(p - 1.0, 1.0)
 
     def to_dict(self) -> dict:
         return {
@@ -269,7 +249,6 @@ class BoundReport:
             "cap_measure_at_tKK": self.cap_measure_at_tKK,
             "A_K": self.A_K,
             "A_infinity": self.A_infinity,
-            "p_exponent": self.p_exponent_rule,
             "quadrature_nodes": self.quadrature_nodes,
             "version": __version__,
         }

@@ -1,7 +1,7 @@
 """Special-function substrate.
 
-Jacobi polynomials (values, endpoint values, derivatives, squared norms,
-largest zeros), Gauss-Jacobi quadrature including tail rules on [delta, 1],
+Jacobi polynomials (values, endpoint values, zero counts, largest
+zeros), Gauss-Jacobi quadrature including tail rules on [delta, 1],
 log-gamma, incomplete beta integrals, and Bessel functions of the first
 kind with their first positive zero.
 
@@ -32,8 +32,7 @@ __all__ = [
     "jacobi_eval",
     "jacobi_eval_rows",
     "jacobi_at_one",
-    "jacobi_derivative",
-    "jacobi_norm_sq",
+    "jacobi_zero_count",
     "euler_rayleigh_bound",
     "largest_zero_estimate",
     "largest_zero",
@@ -45,7 +44,6 @@ __all__ = [
     "incomplete_beta",
     "bessel_j",
     "bessel_first_zero",
-    "mehler_heine_residual",
 ]
 
 _T_TOL = 1e-12
@@ -210,36 +208,11 @@ def jacobi_at_one(idx: JacobiIndex) -> float:
                     - log_gamma(alpha + 1.0))
 
 
-def jacobi_derivative(idx: JacobiIndex, t):
-    """d/dt P_n^(alpha,beta)(t) = (n+alpha+beta+1)/2 * P_{n-1}^(alpha+1,beta+1)(t)."""
-    tt = _check_t(t)
+def jacobi_zero_count(idx: JacobiIndex, t: float) -> int:
+    """Number of zeros of P_n^(alpha,beta) in [t, 1], t in [-1, 1]: the recurrence's Sturm count."""
     if idx.n == 0:
-        out = np.zeros_like(tt)
-    else:
-        fac = 0.5 * (idx.n + idx.alpha + idx.beta + 1.0)
-        out = fac * _jacobi_raw(idx.alpha + 1.0, idx.beta + 1.0, idx.n - 1, tt)
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(out)
-    return out
-
-
-def jacobi_norm_sq(idx: JacobiIndex, projective: bool = False) -> float:
-    """Squared weighted L2 norm of P_n^(alpha,beta).
-
-    Standard form integrates over (-1, 1); with ``projective`` set the
-    integral runs over (0, 1), which requires even degree and alpha == beta
-    (the integrand is then even and the value halves).
-    """
-    n, alpha, beta = idx.n, idx.alpha, idx.beta
-    if projective:
-        if n % 2 != 0:
-            raise ValueError("projective norm needs even degree")
-        if alpha != beta:
-            raise ValueError("projective norm needs alpha == beta")
-    lg = (log_gamma(n + alpha + 1.0) + log_gamma(n + beta + 1.0)
-          - log_gamma(n + 1.0) - log_gamma(n + alpha + beta + 1.0))
-    val = math.exp((alpha + beta + 1.0) * math.log(2.0) + lg) / (2 * n + alpha + beta + 1.0)
-    return 0.5 * val if projective else val
+        return 0
+    return int(_jacobi_raw(idx.alpha, idx.beta, idx.n, float(_check_t(t)), sturm=True))
 
 
 def euler_rayleigh_bound(idx: JacobiIndex) -> float:
@@ -613,16 +586,3 @@ def bessel_first_zero(alpha: float) -> float:
         if abs(step) <= 4e-16 * z:
             return z
     raise RuntimeError("Newton iteration for j_{alpha,1} did not stop")  # pragma: no cover
-
-
-def mehler_heine_residual(idx: JacobiIndex, z: float) -> float:
-    """|n^-alpha P_n(1 - z^2/(2 n^2)) - (2/z)^alpha J_alpha(z)|, 0 < z <= min(2n, 1e5)."""
-    n, alpha = idx.n, idx.alpha
-    z_max = min(2.0 * n, _BESSEL_Z_MAX)  # 2n keeps t = 1 - z^2/(2 n^2) >= -1
-    if not (0.0 < z <= z_max):
-        raise ValueError(f"z must lie in (0, min(2n, {_BESSEL_Z_MAX:g})] = (0, {z_max:g}], "
-                         f"got {z}")
-    t = 1.0 - z * z / (2.0 * n * n)
-    left = float(_jacobi_raw(idx.alpha, idx.beta, n, t)) * math.exp(-alpha * math.log(n))
-    right = (2.0 / z) ** alpha * bessel_j(alpha, z)
-    return abs(left - right)

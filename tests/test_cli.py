@@ -30,8 +30,9 @@ def test_bound_report_fields(capsys):
     assert code == 0
     payload = json.loads(out)
     for field in ("space", "K", "delta", "t_KK", "T2", "cap_measure_at_tKK",
-                  "A_K", "A_infinity", "p_exponent", "quadrature_nodes"):
+                  "A_K", "A_infinity", "quadrature_nodes"):
         assert field in payload
+    assert "p_exponent" not in payload
     assert payload["delta"] == payload["t_KK"]
     assert payload["A_K"] == pytest.approx(
         payload["cap_measure_at_tKK"] * cs.t2_constant(
@@ -366,6 +367,21 @@ def test_verify_ordering_cay16(capsys):
     payload = json.loads(out)
     assert payload["all_pass"] is True
     assert payload["checks"][0]["check"].startswith("ordering[cay16")
+    assert [(c["value"], c["threshold"]) for c in payload["checks"]] == [(0, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("space_id", ["s2", "rp2", "s3", "cp4", "hp8", "cay16"])
+def test_verify_ordering_detects_a_lowered_t_kk(capsys, monkeypatch, space_id):
+    # t_KK one ulp below the largest zero of P_(K-1)^(alpha+1,beta) breaks r_(K-1) >= r_K
+    import capsieve.oracle as oracle
+
+    sp = cs.space_from_id(space_id)
+    top = cs.largest_zeros(sp.alpha + 1.0, sp.beta, [29])[0]
+    monkeypatch.setattr(oracle, "nyquist_delta", lambda space, k: math.nextafter(top, -1.0))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "ordering", "--space", space_id,
+                           "--K", "30")
+    assert code == 2
+    assert json.loads(out)["checks"][1]["value"] == 1
 
 
 def _extremal_ks(capsys, *argv):
@@ -406,10 +422,40 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     import capsieve.cli as cli
     monkeypatch.setattr(
         cli, "_suite_ordering",
-        lambda space, K, seed: [cli._check("forced_failure", 1.0, 0.0, False)])
+        lambda space, K: [cli._check("forced_failure", 1.0, 0.0, False)])
     code, out, _ = run_cli(capsys, "verify", "--suite", "ordering")
     assert code == 2
     assert json.loads(out)["all_pass"] is False
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--suite", "extremal", "--space", "rp2", "--K", "1"],
+     "--K=1 leaves no K >= 1 in the index set of rp2 for the extremal suite; "
+     "the smallest admissible --K is 2"),
+    (["--suite", "ordering", "--space", "rp2", "--K", "1"],
+     "--K=1 leaves no K >= 1 in the index set of rp2 for the ordering suite; "
+     "the smallest admissible --K is 2"),
+    (["--suite", "spectral", "--K", "-3"], "--K must be >= 0 for the spectral suite, got -3"),
+    (["--suite", "convolution", "--seed", "-1"],
+     "--seed must be >= 0 for the convolution suite, got -1"),
+], ids=["extremal", "ordering", "spectral", "convolution"])
+def test_verify_names_the_broken_precondition(capsys, argv, message):
+    # no suite may pass with no check, and no error may leave its flag unnamed
+    assert run_cli(capsys, "verify", *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-9])
+def test_verify_convolution_detects_a_scaled_coefficient(capsys, monkeypatch, factor):
+    # the error reads about 1e-15; a 1e-9 relative change in the expected
+    # coefficients stays below the former threshold of 1e-7
+    import capsieve.oracle as oracle
+
+    zonal = oracle.zonal_coefficient
+    monkeypatch.setattr(oracle, "zonal_coefficient", lambda *a: factor * zonal(*a))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "convolution")
+    (check,) = json.loads(out)["checks"]
+    assert check["threshold"] == 1e-12 and check["value"] < 1e-7
+    assert code == (0 if factor == 1.0 else 2)
 
 
 def test_verify_report_shape(capsys):

@@ -1,10 +1,15 @@
 """Package layout: each private helper has one home and is not imported by
-siblings, and all arithmetic is plain double precision."""
+siblings, every exported name is used by the program, and all arithmetic is
+plain double precision."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "capsieve"
+import capsieve
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "capsieve"
 
 
 def _private_sibling_imports(path: Path) -> list[str]:
@@ -32,4 +37,41 @@ def test_plain_double_precision():
     offenders = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
                  for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
                  if "longdouble" in line or "float128" in line]
+    assert offenders == []
+
+
+def _loaded_names(path: Path) -> set[str]:
+    """Names read in a Python file, as bare names or as attributes."""
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def test_every_export_is_used_by_the_program():
+    # used in the package (a definition or a re-export is no use), by the
+    # benchmark or in the README's Python usage block; the tests do not count
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    used = {w for block in re.findall(r"```python\n(.*?)```", readme, re.S)
+            for w in re.findall(r"\w+", block)}
+    for path in [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        used |= _loaded_names(path)
+    assert sorted(set(capsieve.__all__) - used) == []
+
+
+def test_module_exports_are_defined_in_the_module():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # the package re-exports the modules' names
+            continue
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        defined = {node.name for node in body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {t.id for node in body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                    if isinstance(t, ast.Name)}
+        for node in body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                offenders += [f"{path.name}: {name}" for name in ast.literal_eval(node.value)
+                              if name not in defined]
     assert offenders == []

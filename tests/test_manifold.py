@@ -8,8 +8,8 @@ import pytest
 import capsieve as cs
 from capsieve.manifold import Family, cap_measure, eigenspace_info, make_space, \
     space_from_id, zonal_coefficient
-from capsieve.specfun import JacobiIndex, gauss_jacobi_rule, jacobi_at_one, \
-    jacobi_eval, jacobi_norm_sq
+from capsieve.specfun import JacobiIndex, gauss_jacobi_rule, jacobi_at_one, jacobi_eval
+from reference import jacobi_norm_sq
 
 
 def test_catalog_parameters():

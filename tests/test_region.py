@@ -9,16 +9,9 @@ import pytest
 
 import capsieve as cs
 from capsieve import _backend, region
-from capsieve.region import (
-    DensityEstimate,
-    RegionSpec,
-    cap_contains,
-    cap_fraction,
-    max_nyquist_density,
-    sample_cap,
-    sample_space,
-)
+from capsieve.region import DensityEstimate, RegionSpec, max_nyquist_density
 from capsieve.sieve import nyquist_delta
+from reference import cap_contains, cap_fraction, sample_cap, sample_space
 
 
 def _cap_region(space, center, delta):

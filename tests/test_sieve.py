@@ -1,4 +1,4 @@
-"""Bound engine: T2, A_K, the Bessel limit, measure bounds, L^p exponents."""
+"""Bound engine: T2, A_K, the Bessel limit, measure bounds."""
 
 import json
 import math
@@ -9,7 +9,7 @@ import pytest
 import capsieve as cs
 from capsieve.region import MeasureSpec, measure_bound
 from capsieve.sieve import _tail_integral_sq, a_constant, a_infinity, bound_report, \
-    constants_table, lp_bound, nyquist_delta, t2_constant
+    constants_table, nyquist_delta, t2_constant
 from capsieve.specfun import _gauss_jacobi_cached
 
 
@@ -235,34 +235,6 @@ def test_a_constant_converges_to_limit():
         assert gaps[-1] <= 0.02 * a_infinity(sp)
 
 
-def test_lp_bound_shapes(s2):
-    a4 = a_constant(s2, 4)
-    rho = 0.05
-    assert lp_bound(s2, 4, rho, 2.0) == pytest.approx(min(1.0, a4 * rho), rel=1e-13)
-    assert lp_bound(s2, 4, rho, 50.0) == pytest.approx(
-        lp_bound(s2, 4, rho, 2.0), rel=1e-13)
-    assert lp_bound(s2, 4, 0.0, 1.5) == 0.0
-    assert lp_bound(s2, 4, 1.0, 2.0) == 1.0  # clamped
-
-
-def test_lp_bound_monotone_in_p(s2):
-    rho = 0.02
-    ps = [1.1, 1.3, 1.6, 1.9, 2.0, 3.0, 10.0]
-    vals = [lp_bound(s2, 4, rho, p) for p in ps]
-    for (p1, v1), (p2, v2) in zip(zip(ps, vals), zip(ps[1:], vals[1:])):
-        if p2 <= 2.0:
-            assert v2 <= v1 + 1e-15
-        else:
-            assert v2 == pytest.approx(vals[ps.index(2.0)], rel=1e-13)
-
-
-def test_lp_bound_rejects_p1(s2):
-    with pytest.raises(ValueError):
-        lp_bound(s2, 4, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        lp_bound(s2, 4, 0.5, 0.7)
-
-
 def test_measure_bound_single_atom(s2, pole):
     mu = MeasureSpec(points=pole[None, :], weights=np.array([0.7]))
     K, delta = 4, nyquist_delta(s2, 4)
@@ -399,8 +371,6 @@ def test_bound_report_roundtrip(s2):
         t2_constant(s2, 6, nyquist_delta(s2, 6)), rel=1e-14)
     assert payload["A_K"] == pytest.approx(a_constant(s2, 6), rel=1e-14)
     assert payload["quadrature_nodes"] == 128
-    assert rep.p_exponent(1.5) == pytest.approx(0.5)
-    assert rep.p_exponent(7.0) == 1.0
     json.dumps(payload)  # serializable
 
 
