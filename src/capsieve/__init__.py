@@ -52,7 +52,6 @@ from .specfun import (
     gauss_jacobi_rule,
     incomplete_beta,
     jacobi_at_one,
-    jacobi_eval,
     jacobi_eval_rows,
     largest_zero,
     largest_zero_estimate,
@@ -65,7 +64,7 @@ __all__ = [
     "__version__",
     # specfun
     "JacobiIndex", "ZeroResult", "QuadratureRule",
-    "jacobi_eval", "jacobi_eval_rows", "jacobi_at_one", "largest_zero",
+    "jacobi_eval_rows", "jacobi_at_one", "largest_zero",
     "largest_zero_estimate", "largest_zeros", "gauss_jacobi_rule", "tail_quadrature",
     "log_gamma", "incomplete_beta", "bessel_j", "bessel_first_zero",
     # manifold

@@ -36,7 +36,7 @@ def _series(x: float, a: float, b: float) -> tuple[int, float]:
         p *= ratio
         if p <= 1e-17 * s * (1.0 - max(ratio, x)):
             return m + 1, s * (x**a * (1.0 - x)**b / a)
-    raise RuntimeError("incomplete beta series did not converge")  # pragma: no cover
+    raise ValueError(f"the series of B_x(a, b) at x={x:g}, a={a:g}, b={b:g} needs > 100000 terms")
 
 
 def _beta_series(x, a, b, n_terms):

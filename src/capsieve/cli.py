@@ -15,15 +15,15 @@ the tool version and discretization parameters.
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import math
 import sys
 from functools import cache
 
 import numpy as np
 
 from ._version import __version__
-from .manifold import space_from_id
+from .manifold import cap_measure, eigenspace_info, space_from_id
 from .oracle import (
     concentration_eigenvalue,
     convolution_check,
@@ -52,74 +52,54 @@ def _emit_json(payload: dict) -> None:
 
 
 def _emit_csv(rows: list[dict]) -> None:
-    if not rows:
-        return
-    cols = list(rows[0].keys())
-    out = io.StringIO()
-    out.write(",".join(cols) + "\n")
-    for row in rows:
-        out.write(",".join(_csv_cell(row[c]) for c in cols) + "\n")
-    sys.stdout.write(out.getvalue())
+    cols = list(rows[0])
+    lines = [cols] + [[repr(v) if isinstance(v, float) else str(v) for v in map(row.get, cols)]
+                      for row in rows]
+    sys.stdout.write("".join(",".join(line) + "\n" for line in lines))
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _meta(**extra) -> dict:
-    meta = {"tool": "capsieve", "version": __version__}
-    meta.update(extra)
-    return meta
-
-
-def _cmd_bound(args) -> int:
-    space = space_from_id(args.space)
-    rep = bound_report(space, args.K, delta=args.delta)
-    payload = rep.to_dict()
-    payload["meta"] = _meta()
-    if args.format == "csv":
-        flat = {k: v for k, v in payload.items() if k != "meta"}
-        _emit_csv([flat])
+def _emit(payload: dict, fmt: str) -> int:
+    """The report as JSON, or as one CSV row without its meta and vector fields."""
+    if fmt == "csv":
+        _emit_csv([{k: v for k, v in payload.items() if k not in ("meta", "argmax_center")}])
     else:
         _emit_json(payload)
     return _EXIT_OK
+
+
+def _meta(**extra) -> dict:
+    return {"tool": "capsieve", "version": __version__, **extra}
+
+
+def _cmd_bound(args) -> int:
+    rep = bound_report(space_from_id(args.space), args.K, delta=args.delta)
+    return _emit({**rep.to_dict(), "meta": _meta()}, args.format)
 
 
 def _cmd_zeros(args) -> int:
     space = space_from_id(args.space)
     if args.K < 1 or not space.in_index_set(args.K):
         raise ValueError(f"K must be >= 1 and in the index set of {space.space_id}")
-    idx = JacobiIndex(space.alpha, space.beta, args.K)
+    idx = JacobiIndex(space.alpha, space.beta, space.degree(args.K))
     zero = largest_zero(idx)
-    payload = {
+    t_kk = space.to_t(zero.t_nn)
+    return _emit({
         "space": space.space_id,
         "K": args.K,
-        "t_KK": zero.t_nn,
-        "theta_K1": zero.theta_n1,
-        "euler_rayleigh_bound": euler_rayleigh_bound(idx),
-        "asymptotic_estimate": largest_zero_estimate(idx),
-        "bracket_width": zero.bracket_width,
+        "t_KK": t_kk,
+        "theta_K1": math.acos(t_kk),
+        "euler_rayleigh_bound": space.to_t(euler_rayleigh_bound(idx)),
+        "asymptotic_estimate": space.to_t(largest_zero_estimate(idx)),
+        # the bracket [t_KK - width, t_KK), rounded outward from the one in x
+        "bracket_width": t_kk - space.to_t(zero.t_nn - zero.bracket_width, up=False),
         "meta": _meta(),
-    }
-    if args.format == "csv":
-        _emit_csv([{k: v for k, v in payload.items() if k != "meta"}])
-    else:
-        _emit_json(payload)
-    return _EXIT_OK
+    }, args.format)
 
 
 def _cmd_limit(args) -> int:
     space = space_from_id(args.space)
-    payload = {
-        "space": space.space_id,
-        "alpha": space.alpha,
-        "A_infinity": a_infinity(space),
-        "meta": _meta(),
-    }
-    _emit_json(payload)
-    return _EXIT_OK
+    return _emit({"space": space.space_id, "alpha": space.alpha,
+                  "A_infinity": a_infinity(space), "meta": _meta()}, "json")
 
 
 def _cmd_density(args) -> int:
@@ -127,11 +107,10 @@ def _cmd_density(args) -> int:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     region = RegionSpec.from_json(args.region)
     est = max_nyquist_density(region, args.K, args.samples, args.seed)
-    rho_used = est.rho + (3.0 * est.std_error if args.margin else 0.0)
-    rho_used = min(rho_used, 1.0)
+    rho_used = min(est.rho + (3.0 * est.std_error if args.margin else 0.0), 1.0)
     a_k = a_constant(region.space, args.K)
-    payload = est.to_dict()
-    payload.update({
+    return _emit({
+        **est.to_dict(),
         "space": region.space.space_id,
         "K": args.K,
         "delta": nyquist_delta(region.space, args.K),
@@ -141,13 +120,7 @@ def _cmd_density(args) -> int:
         "lambda2_bound": min(1.0, a_k * rho_used),
         "meta": _meta(samples_per_center=args.samples, grid_size=GRID_SIZE,
                       refine_iters=REFINE_ITERS),
-    })
-    if args.format == "csv":
-        flat = {k: v for k, v in payload.items() if k not in ("meta", "argmax_center")}
-        _emit_csv([flat])
-    else:
-        _emit_json(payload)
-    return _EXIT_OK
+    }, args.format)
 
 
 def _cmd_table(args) -> int:
@@ -172,11 +145,10 @@ def _check(name: str, value: float, threshold: float, ok: bool) -> dict:
 
 def _top_index_k(space, K: int, suite: str) -> int:
     """The largest k <= --K in the index set of the space; it must be >= 1."""
-    k = K - K % space.index_stride
-    if k < 1:
+    if space.degree(K) < 1:
         raise ValueError(f"--K={K} leaves no K >= 1 in the index set of {space.space_id} for "
-                         f"the {suite} suite; the smallest admissible --K is {space.index_stride}")
-    return k
+                         f"the {suite} suite; the smallest admissible --K is {space.band(1)}")
+    return space.band(space.degree(K))
 
 
 def _suite_ordering(space_id: str, K: int) -> list[dict]:
@@ -201,8 +173,8 @@ def _suite_extremal(space_id: str, K: int) -> list[dict]:
     for k in sorted({k for k in (2, 4, min(K, 4)) if k <= K and space.in_index_set(k)}):
         t_kk = nyquist_delta(space, k)
         for delta in (t_kk, 0.5 * (1.0 + t_kk)):
+            want = t2_constant(space, k, delta)  # first: it names a too large alpha
             res = extremal_bruteforce(space, k, delta)
-            want = t2_constant(space, k, delta)
             lo, hi = res.T2_lower, res.T2_upper
             err = max((hi - lo) / lo, (lo - want) / lo, (want - hi) / hi)
             checks.append(_check(
@@ -240,8 +212,7 @@ def _suite_spectral(K: int) -> list[dict]:
 
 def _suite_limit(space_id: str) -> list[dict]:
     space = space_from_id(space_id)
-    stride = space.index_stride
-    rows = limit_check(space, [64 * stride, 128 * stride, 256 * stride])
+    rows = limit_check(space, [space.band(n) for n in (64, 128, 256)])
     gaps = [r[2] for r in rows]
     dec = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
     rel = gaps[-1] / a_infinity(space)
@@ -252,14 +223,11 @@ def _suite_limit(space_id: str) -> list[dict]:
 
 
 def _suite_structural(space_id: str, K: int) -> list[dict]:
-    from .manifold import cap_measure, eigenspace_info
-
     space = space_from_id(space_id)
-    flags = 0
-    for k in space.index_set(min(K, 100)):
-        if eigenspace_info(space, k).integrality_flag:
-            flags += 1
-    k0 = space.index_stride
+    _top_index_k(space, K, "structural")  # d_k up to min(K, 100), A_K at the least K
+    flags = sum(eigenspace_info(space, k).integrality_flag
+                for k in space.index_set(min(K, 100)))
+    k0 = space.band(1)
     t_kk = nyquist_delta(space, k0)
     a_k = a_constant(space, k0)
     ident = abs(a_k - cap_measure(space, t_kk) * t2_constant(space, k0, t_kk))
@@ -275,21 +243,14 @@ _SUITES = ("ordering", "extremal", "convolution", "spectral", "limit", "structur
 
 
 def _cmd_verify(args) -> int:
-    suites = _SUITES if args.suite == "all" else (args.suite,)
-    checks: list[dict] = []
-    for suite in suites:
-        if suite == "ordering":
-            checks += _suite_ordering(args.space, args.K)
-        elif suite == "extremal":
-            checks += _suite_extremal(args.space, args.K)
-        elif suite == "convolution":
-            checks += _suite_convolution(args.seed)
-        elif suite == "spectral":
-            checks += _suite_spectral(min(args.K, 10))
-        elif suite == "limit":
-            checks += _suite_limit(args.space)
-        elif suite == "structural":
-            checks += _suite_structural(args.space, args.K)
+    run = {"ordering": lambda: _suite_ordering(args.space, args.K),
+           "extremal": lambda: _suite_extremal(args.space, args.K),
+           "convolution": lambda: _suite_convolution(args.seed),
+           "spectral": lambda: _suite_spectral(min(args.K, 10)),
+           "limit": lambda: _suite_limit(args.space),
+           "structural": lambda: _suite_structural(args.space, args.K)}
+    checks = [c for suite in (_SUITES if args.suite == "all" else (args.suite,))
+              for c in run[suite]()]
     all_pass = all(c["pass"] for c in checks)
     _emit_json({"checks": checks, "all_pass": all_pass, "meta": _meta(seed=args.seed)})
     return _EXIT_OK if all_pass else _EXIT_VERIFY_FAILED

@@ -1,12 +1,15 @@
 """Catalog of compact two-point homogeneous spaces.
 
 Five families: spheres S^d and the projective spaces over R, C, H and the
-octonions.  Each space is reduced to its cosine-distance coordinate
-t = cos(gamma * d(x, y)), where all geometry collapses to the Jacobi weight
-(1-t)^alpha (1+t)^beta on an interval I (either (-1,1) or, for the real
-projective family, (0,1)).  The catalog carries the derived constants:
-(alpha, beta), the eigenvalue index set, the mass nu_perp of the angular
-factor of the invariant measure, eigenspace dimensions and addition-formula
+octonions.  Each space is one Jacobi family: its zonal functions are the
+polynomials P_n^(alpha,beta)(x) of the weight (1-x)^alpha (1+x)^beta on
+[-1, 1], n = 0, 1, 2, ...  On every family but P^d(R), x is the cosine
+distance t = cos(gamma * d(p, q)) and the band index K is the degree n.
+P^d(R) is the family (alpha, -1/2) in x = 2t^2 - 1, at n = K/2 (Szego,
+Thm 4.1; Koornwinder 1973), while users keep even K and t in [0, 1]; the
+one map between the two lives here.  The catalog carries the derived
+constants: (alpha, beta), the mass nu_perp of the angular factor of the
+invariant measure, eigenspace dimensions and addition-formula
 coefficients, and geodesic-cap measures.
 """
 
@@ -26,7 +29,7 @@ from .specfun import (
     gauss_jacobi_rule,
     incomplete_beta,
     jacobi_at_one,
-    jacobi_eval,
+    jacobi_ratio_rows,
     log_gamma,
     tail_quadrature,
 )
@@ -61,9 +64,30 @@ _ID_PREFIX = {
 _PREFIX_OF = {fam: pre for pre, fam in _ID_PREFIX.items()}
 
 
+def _gap(t: float, x: float) -> int:
+    """The sign of 2 t^2 - 1 - x, exactly, for doubles t and x."""
+    p, q = t.as_integer_ratio()
+    a, b = x.as_integer_ratio()
+    return (2 * p * p - q * q) * b - a * q * q
+
+
+def _extreme(v: float, ok, toward: float) -> float:
+    """The double furthest towards ``toward`` at which the monotone ok holds, stepped to from v."""
+    while not ok(v):
+        v = math.nextafter(v, -toward)
+    while ok(w := math.nextafter(v, toward)):
+        v = w
+    return v
+
+
 @dataclass(frozen=True)
 class SpaceParams:
-    """One two-point homogeneous space with all derived constants."""
+    """One two-point homogeneous space with all derived constants.
+
+    The methods are the one map between the user's band index K and cosine
+    distance t and the Jacobi degree n and variable x; it is the identity
+    except on P^d(R), where n = K/2 and x = 2t^2 - 1.
+    """
 
     family: Family
     d: int
@@ -72,24 +96,62 @@ class SpaceParams:
     gamma_tag: str          # "pi/L" or "pi/2L"
     alpha: float
     beta: float
-    index_stride: int       # 2 for real projective spaces, else 1
     nu_perp: float
-    interval: tuple[float, float]
 
     @property
     def space_id(self) -> str:
         return f"{_PREFIX_OF[self.family]}{self.d}"
 
+    @property
+    def _real_projective(self) -> bool:
+        return self.family is Family.REAL_PROJECTIVE
+
+    def band(self, n: int) -> int:
+        """Band index K of Jacobi degree n."""
+        return 2 * n if self._real_projective else n
+
+    def degree(self, K: int) -> int:
+        """Jacobi degree n of the largest index-set K' <= K."""
+        return K // self.band(1)
+
     def index_set(self, k_max: int):
         """Eigenvalue indices k <= k_max belonging to this space."""
-        return range(0, k_max + 1, self.index_stride)
+        return list(range(0, k_max + 1, self.band(1)))
 
     def in_index_set(self, k: int) -> bool:
-        return k >= 0 and k % self.index_stride == 0
+        return k >= 0 and self.band(self.degree(k)) == k
+
+    def to_x(self, t: float) -> float:
+        """Jacobi variable of cosine distance t: on P^d(R) the largest double <= 2t^2 - 1."""
+        if not self._real_projective:
+            return t
+        return _extreme(2.0 * t * t - 1.0, lambda x: _gap(t, x) >= 0, math.inf)
+
+    def to_t(self, x, up: bool | None = True):
+        """Cosine distance of Jacobi variable x.
+
+        On P^d(R) it is sqrt((1 + x)/2), elementwise when ``up`` is None.
+        Otherwise x is one double, and t is the smallest double >= 0 with
+        2t^2 - 1 >= x exactly, or with ``up`` false the largest with <= x.
+        """
+        if not self._real_projective:
+            return x
+        if up is None:
+            return np.sqrt(0.5 * (1.0 + x))
+        side = 1 if up else -1
+        return _extreme(math.sqrt(0.5 * (1.0 + x)),
+                        lambda t: t >= 0.0 and side * _gap(t, x) >= 0, -side * math.inf)
+
+    def gap(self, t):
+        """(1 - x)/2 at cosine distance t, the incomplete-beta variable of the cap [t, 1].
+
+        On P^d(R) it is 1 - t^2, taken as (1 - t)(1 + t) so nothing cancels.
+        """
+        return (1.0 - t) * (1.0 + t) if self._real_projective else (1.0 - t) / 2.0
 
     @property
     def t_min(self) -> float:
-        return self.interval[0]
+        return self.to_t(-1.0)
 
 
 @dataclass(frozen=True)
@@ -124,33 +186,23 @@ def make_space(family: Family, d: int) -> SpaceParams:
     if problem is not None:
         raise ValueError(f"inadmissible ({family.value}, d={d}): {problem}")
     d = int(d)
-    if family is Family.SPHERE:
-        sigma, rho, gamma_tag = 0, d - 1, "pi/L"
-    elif family is Family.REAL_PROJECTIVE:
-        sigma, rho, gamma_tag = 0, d - 1, "pi/2L"
-    elif family is Family.COMPLEX_PROJECTIVE:
-        sigma, rho, gamma_tag = d - 2, 1, "pi/L"
-    elif family is Family.QUATERNION_PROJECTIVE:
-        sigma, rho, gamma_tag = d - 4, 3, "pi/L"
-    else:
-        sigma, rho, gamma_tag = 8, 7, "pi/L"
-
+    sigma, rho, gamma_tag = {
+        Family.SPHERE: (0, d - 1, "pi/L"),
+        Family.REAL_PROJECTIVE: (0, d - 1, "pi/2L"),
+        Family.COMPLEX_PROJECTIVE: (d - 2, 1, "pi/L"),
+        Family.QUATERNION_PROJECTIVE: (d - 4, 3, "pi/L"),
+        Family.CAYLEY_PROJECTIVE: (8, 7, "pi/L"),
+    }[family]
     alpha = (d - 2) / 2.0
-    beta = (rho - 1) / 2.0
-    # on real projective spaces beta == alpha too
+    # P^d(R) is the family (alpha, -1/2) in x = 2t^2 - 1
+    beta = -0.5 if family is Family.REAL_PROJECTIVE else (rho - 1) / 2.0
     b = beta_function(alpha + 1.0, beta + 1.0)
     if b < sys.float_info.min:  # subnormal from s1020 on, 0 from about s1100
         raise ValueError(f"{_PREFIX_OF[family]}{d} (alpha={alpha:g}): B(alpha+1, beta+1) = {b:g} "
                          "is below the normal double range, so nu_perp cannot be formed")
-    if family is Family.REAL_PROJECTIVE:
-        nu_perp = 4.0 ** -alpha / b
-        stride, interval = 2, (0.0, 1.0)
-    else:
-        nu_perp = 2.0 ** -(alpha + beta + 1.0) / b
-        stride, interval = 1, (-1.0, 1.0)
     return SpaceParams(family=family, d=d, sigma=sigma, rho=rho,
                        gamma_tag=gamma_tag, alpha=alpha, beta=beta,
-                       index_stride=stride, nu_perp=nu_perp, interval=interval)
+                       nu_perp=2.0 ** -(alpha + beta + 1.0) / b)
 
 
 def space_from_id(space_id: str) -> SpaceParams:
@@ -168,18 +220,17 @@ def space_from_id(space_id: str) -> SpaceParams:
 def eigenspace_info(space: SpaceParams, k: int) -> EigenspaceInfo:
     """Eigenvalue, eigenspace dimension and addition-formula coefficient at index k."""
     if not space.in_index_set(k):
-        raise ValueError(f"k={k} is not in the index set of {space.space_id} "
-                         f"(stride {space.index_stride})")
-    alpha, beta = space.alpha, space.beta
+        raise ValueError(f"k={k} is not in the index set of {space.space_id}")
+    alpha, beta, n = space.alpha, space.beta, space.degree(k)
     ab1 = alpha + beta + 1.0
-    lambda_k = -k * (k + ab1)
+    lambda_k = -k * (k + space.band(1) * ab1)  # the Jacobi eigenvalue times band(1)^2
     if k == 0:
         return EigenspaceInfo(k=0, lambda_k=0.0, d_k=1, d_k_raw=1.0, D_k=1.0,
                               integrality_flag=False)
-    big_d = (2 * k + ab1) * math.exp(
-        log_gamma(k + ab1) + log_gamma(beta + 1.0)
-        - log_gamma(k + beta + 1.0) - log_gamma(ab1 + 1.0))
-    d_raw = big_d * jacobi_at_one(JacobiIndex(alpha, beta, k))
+    big_d = (2 * n + ab1) * math.exp(
+        log_gamma(n + ab1) + log_gamma(beta + 1.0)
+        - log_gamma(n + beta + 1.0) - log_gamma(ab1 + 1.0))
+    d_raw = big_d * jacobi_at_one(JacobiIndex(alpha, beta, n))
     d_int = int(round(d_raw))
     flag = abs(d_raw - d_int) > 1e-6 * max(1.0, abs(d_raw))
     return EigenspaceInfo(k=k, lambda_k=lambda_k, d_k=d_int, d_k_raw=d_raw,
@@ -193,7 +244,7 @@ def cap_measure(space: SpaceParams, delta: float) -> float:
         raise ValueError(f"delta must lie in [{lo}, 1) for {space.space_id}, got {delta}")
     alpha, beta = space.alpha, space.beta
     return (2.0 ** (alpha + beta + 1.0) * space.nu_perp
-            * incomplete_beta((1.0 - delta) / 2.0, alpha + 1.0, beta + 1.0))
+            * incomplete_beta(space.gap(delta), alpha + 1.0, beta + 1.0))
 
 
 def zonal_coefficient(space: SpaceParams, k_max: int, g: Callable[[np.ndarray], np.ndarray],
@@ -206,22 +257,10 @@ def zonal_coefficient(space: SpaceParams, k_max: int, g: Callable[[np.ndarray], 
     """
     if not space.in_index_set(k):
         raise ValueError(f"k={k} not in index set of {space.space_id}")
-    alpha, beta = space.alpha, space.beta
-    m = 2 * k_max + 64
-    pk1 = jacobi_at_one(JacobiIndex(alpha, beta, k))
-    if support is not None:
-        rule = tail_quadrature(alpha, beta, support, m)
-        vals = g(rule.nodes) * jacobi_eval(JacobiIndex(alpha, beta, k), rule.nodes) / pk1
-        integral = float(np.dot(rule.weights, vals))
-    else:
-        base = gauss_jacobi_rule(alpha, beta, m)
-        if space.family is Family.REAL_PROJECTIVE:
-            # profile lives on (0,1); extend evenly and halve (even k only)
-            vals = g(np.abs(base.nodes)) \
-                * jacobi_eval(JacobiIndex(alpha, beta, k), base.nodes) / pk1
-            integral = 0.5 * float(np.dot(base.weights, vals))
-        else:
-            vals = g(base.nodes) * jacobi_eval(JacobiIndex(alpha, beta, k), base.nodes) / pk1
-            integral = float(np.dot(base.weights, vals))
+    alpha, beta, m = space.alpha, space.beta, 2 * k_max + 64
+    rule = (gauss_jacobi_rule(alpha, beta, m) if support is None
+            else tail_quadrature(alpha, beta, space.to_x(support), m))
+    ratio = jacobi_ratio_rows(alpha, beta, [space.degree(k)], rule.nodes[None])[0]
+    vals = g(space.to_t(rule.nodes, up=None)) * ratio
     info = eigenspace_info(space, k)
-    return math.sqrt(info.d_k_raw) * space.nu_perp * integral
+    return math.sqrt(info.d_k_raw) * space.nu_perp * float(np.dot(rule.weights, vals))

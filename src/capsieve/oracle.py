@@ -23,8 +23,7 @@ from .sieve import a_constant, a_infinity, nyquist_delta
 from .specfun import (
     JacobiIndex,
     gauss_jacobi_rule,
-    jacobi_at_one,
-    jacobi_eval_rows,
+    jacobi_ratio_rows,
     jacobi_zero_count,
     tail_quadrature,
 )
@@ -60,46 +59,36 @@ class SpectralResult:
     region: dict
 
 
-def _ratio_rows(space: SpaceParams, K: int, t: np.ndarray) -> np.ndarray:
-    """r_k = P_k/P_k(1) at the points t, one row per k <= K of the index set."""
-    ks = list(space.index_set(K))  # starts at k = 0, where r_0 = 1
-    rows = np.ones((len(ks), t.size))
-    if len(ks) > 1:
-        pk1 = [jacobi_at_one(JacobiIndex(space.alpha, space.beta, k)) for k in ks[1:]]
-        rows[1:] = jacobi_eval_rows(space.alpha, space.beta, ks[1:],
-                                    np.broadcast_to(t, (len(ks) - 1, t.size)))
-        rows[1:] /= np.array(pk1)[:, None]
-    return rows
-
-
 def extremal_bruteforce(space: SpaceParams, K: int, delta: float,
                         grid_size: int | None = None) -> ExtremalResult:
     """Certified primal-dual bounds on the discretized cap extremal problem.
 
     A zonal profile g >= 0 supported on [delta, 1] is represented by its
     values at the nodes of the tail rule, with weights W.  Scaled so that
-    r_k'Wg >= 1 for every k of the index set, with r_k = P_k/P_k(1) at the
-    nodes, T2 is min g'Wg / nu_perp: a convex QP.  Each primal vertex
+    r_k'Wg >= 1 for every degree k <= n = space.degree(K), with
+    r_k = P_k/P_k(1) at the nodes, T2 is min g'Wg / nu_perp: a convex QP.  Each primal vertex
     g_k = max(0, r_k) gives the upper bound g_k'Wg_k / min_j (r_j'Wg_k)^2,
     and each dual vertex lambda = e_k gives, by weak duality, the lower bound
     1 / ||max(0, r_k)||_W^2 (Boyd & Vandenberghe 2004, ch. 5).  Both are read
     from one matrix M = (R W) max(0, R)', whose entries are r_j'Wg_k and whose
     diagonal is ||g_k||_W^2.  The best bound of each kind is returned, and
     converged means a relative gap of at most 1e-12.  For delta >= t_KK the
-    ordering r_k >= r_K >= 0 of the source paper (see ordering_check) is the
-    KKT condition that closes the gap at the degree-K vertex, whose
+    ordering r_k >= r_n >= 0 of the source paper (see ordering_check) is the
+    KKT condition that closes the gap at the degree-n vertex, whose
     normalized profile is returned.
     """
     t_kk = nyquist_delta(space, K)
     if delta < t_kk - 1e-12 or not delta < 1.0:
         raise ValueError("need t_KK <= delta < 1")
-    if grid_size is None:
-        grid_size = max(4 * (K + 1), 48)
+    if grid_size is None:  # (1+x)^beta, beta < 0, is singular just below a small x_nn
+        grid_size = max(4 * (K + 1), 48 if space.beta >= 0.0 else 64)
     if grid_size < 4 * (K + 1):
         raise ValueError("grid_size must be at least 4 (K + 1)")
 
-    rule = tail_quadrature(space.alpha, space.beta, delta, grid_size)
-    ratios = _ratio_rows(space, K, rule.nodes)
+    rule = tail_quadrature(space.alpha, space.beta, space.to_x(delta), grid_size)
+    n = space.degree(K) + 1
+    ratios = jacobi_ratio_rows(space.alpha, space.beta, range(n),
+                               np.broadcast_to(rule.nodes, (n, grid_size)))
     vertices = np.maximum(ratios, 0.0)
     gram = (ratios * rule.weights) @ vertices.T
     norm2, proj = np.diag(gram), gram.min(axis=0)
@@ -247,22 +236,23 @@ def convolution_check(K: int, g_coeffs, h_coeffs, n_theta: int) -> float:
 
 
 def ordering_check(space: SpaceParams, K: int) -> tuple[int, int]:
-    """Zero counts that certify r_0 >= r_1 >= ... >= r_K >= 0 on [t_KK, 1], r_n = P_n/P_n(1).
+    """Zero counts that certify r_0 >= r_1 >= ... >= r_n >= 0 on [x, 1], r_j = P_j/P_j(1).
 
-    Returns the Sturm counts of the zeros of P_K^(alpha,beta) in (t_KK, 1]
-    and of P_{K-1}^(alpha+1,beta) in [t_KK, 1]; (0, 0) certifies the
-    ordering.  The first gives r_K >= 0.  For the second, r_n - r_{n+1} is a
-    positive multiple of (1 - t) P_n^(alpha+1,beta)(t) (DLMF 18.9.5), and the
-    largest zero of P_n^(alpha+1,beta) grows with n (the zeros of
-    consecutive orthogonal polynomials interlace), so the top degree decides
-    for every n < K.  The ordering over all degrees implies the one over
-    the even index set of a real projective space.
+    Here n = space.degree(K) and x = space.to_x(t_KK), between the zero
+    x_nn and the image of t_KK.  Returns the Sturm counts of the zeros of
+    P_n^(alpha,beta) in (x, 1] and of P_{n-1}^(alpha+1,beta) in [x, 1];
+    (0, 0) certifies the ordering.  The first gives r_n >= 0.  For the
+    second, r_j - r_{j+1} is a positive multiple of (1 - x)
+    P_j^(alpha+1,beta)(x) (DLMF 18.9.5), and the largest zero of
+    P_j^(alpha+1,beta) grows with j (interlacing), so the top degree
+    decides for every j < n.  On P^d(R) degree j is band index 2j.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    t_kk, alpha, beta = nyquist_delta(space, K), space.alpha, space.beta
-    return (jacobi_zero_count(JacobiIndex(alpha, beta, K), math.nextafter(t_kk, 2.0)),
-            jacobi_zero_count(JacobiIndex(alpha + 1.0, beta, K - 1), t_kk))
+    x, alpha, beta = space.to_x(nyquist_delta(space, K)), space.alpha, space.beta
+    n = space.degree(K)
+    return (jacobi_zero_count(JacobiIndex(alpha, beta, n), math.nextafter(x, 2.0)),
+            jacobi_zero_count(JacobiIndex(alpha + 1.0, beta, n - 1), x))
 
 
 def limit_check(space: SpaceParams, k_list) -> list[tuple[int, float, float]]:
@@ -271,8 +261,4 @@ def limit_check(space: SpaceParams, k_list) -> list[tuple[int, float, float]]:
     if ks != sorted(ks):
         raise ValueError("K_list must be increasing")
     a_inf = a_infinity(space)
-    rows = []
-    for k in ks:
-        a_k = a_constant(space, k)
-        rows.append((k, a_k, abs(a_k - a_inf)))
-    return rows
+    return [(k, a_k, abs(a_k - a_inf)) for k, a_k in ((k, a_constant(space, k)) for k in ks)]

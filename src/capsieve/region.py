@@ -244,8 +244,8 @@ class DensityEstimate:
 def _pole_sample(space: SpaceParams, delta: float, n: int, seed: int) -> np.ndarray:
     """n points of the invariant measure restricted to the cap around e_0.
 
-    The cosine-distance coordinate t is drawn by inverting the incomplete-beta
-    CDF of the Jacobi weight on [delta, 1] (bisection, bracket 1e-12); the
+    The Jacobi variable x is drawn on [space.to_x(delta), 1] by inverting the
+    incomplete-beta CDF of (1 - x)/2 (bisection, bracket 1e-12), and t = space.to_t(x); the
     remaining coordinates are a uniform direction scaled to sqrt(1 - t^2).
     On P^d(R) the sign of t is a fair coin, so both sheets of the cap are
     covered.  n (d+1) may not exceed 2^24, which caps the memory of a call.
@@ -261,9 +261,8 @@ def _pole_sample(space: SpaceParams, delta: float, n: int, seed: int) -> np.ndar
     rng = np.random.default_rng(seed & _SEED_MASK)
     u = rng.random(n)
     g = rng.standard_normal((n, space.d))
-    x = _backend.invert_beta_tail_cdf(space.alpha + 1.0, space.beta + 1.0,
-                                      (1.0 - delta) / 2.0, u)
-    t = 1.0 - 2.0 * x
+    gap = _backend.invert_beta_tail_cdf(space.alpha + 1.0, space.beta + 1.0, space.gap(delta), u)
+    t = space.to_t(1.0 - 2.0 * gap, up=None)
     if space.family is Family.REAL_PROJECTIVE:
         t *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
     r = np.sqrt(np.maximum(0.0, 1.0 - t * t)) / np.linalg.norm(g, axis=1)

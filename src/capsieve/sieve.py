@@ -4,10 +4,11 @@ Computes the sharp cap concentration constant T2(K, delta), the Nyquist
 bound constant A_K and its large-K Bessel limit.  The suprema over cap
 centres that these constants multiply live in ``region``.
 
-Every constant at (space, K) rests on one row: the largest Jacobi zero
-t_KK and the tail and cap integrals at t_KK, the integrals added when a
+Every constant at (space, K) rests on one row: the largest zero x_nn of
+the Jacobi polynomial of degree n = space.degree(K), its cosine distance
+t_KK, and the tail and cap integrals there, the integrals added when a
 caller first needs them.  Rows live in one bounded cache keyed by
-(alpha, beta, K); a table computes only its missing rows, their zeros in
+(alpha, beta, n); a table computes only its missing rows, their zeros in
 one ``largest_zeros`` call and their tails in one recurrence pass.  A row
 holds the same doubles whether it was computed alone or in a batch, so a
 table reads the same from a warm cache as from a cold one.
@@ -16,6 +17,7 @@ table reads the same from a warm cache as from a cold one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +25,10 @@ import numpy as np
 from ._version import __version__
 from .manifold import SpaceParams, cap_measure
 from .specfun import (
-    JacobiIndex,
     bessel_first_zero,
     bessel_j,
     incomplete_beta,
-    jacobi_at_one,
-    jacobi_eval_rows,
+    jacobi_ratio_rows,
     largest_zeros,
     log_gamma,
     tail_quadrature,
@@ -47,61 +47,51 @@ __all__ = [
 _DELTA_SLACK = 1e-12
 _TAIL_NODES = 128  # nodes of every tail rule
 _ROWS_KEPT = 4096
-# (alpha, beta, K) -> [t_KK, tail integral at t_KK, cap integral at t_KK],
+# (alpha, beta, n) -> [x_nn, t_KK, tail integral at x_nn, cap integral at t_KK],
 # the integrals None until a caller needs them
 _rows_cache: dict[tuple[float, float, int], list] = {}
 
 
-def _rows(space: SpaceParams, ks, integrals: bool = True) -> list[list]:
-    """[t_KK, tail and cap integrals at t_KK] for each K >= 1 of a nondecreasing ks.
+def _rows(space: SpaceParams, ns, integrals: bool = True) -> list[list]:
+    """[x_nn, t_KK, tail and cap integrals] for each degree n >= 1 of a nondecreasing ns.
 
     Rows come from the row cache, which keeps the last 4096 rows added.
-    Missing rows get their zeros from one ``largest_zeros`` call; with
-    ``integrals`` set, rows without integrals get their tails from one
-    ``_tail_values`` pass.
+    Missing rows get their zeros x_nn from one ``largest_zeros`` call, and
+    t_KK = space.to_t(x_nn) as they enter; with ``integrals`` set, rows
+    without integrals get their tails from one ``_tail_values`` pass.
     """
     alpha, beta = space.alpha, space.beta
-    found = {k: _rows_cache.get((alpha, beta, k)) for k in ks}
-    missing = [k for k, row in found.items() if row is None]
+    if integrals:  # before any zero is solved
+        _check_alpha(space)
+    found = {n: _rows_cache.get((alpha, beta, n)) for n in ns}
+    missing = [n for n, row in found.items() if row is None]
     if missing:
-        for k, t_kk in zip(missing, largest_zeros(alpha, beta, missing)):
-            found[k] = _rows_cache[alpha, beta, k] = [t_kk, None, None]
+        for n, x_nn in zip(missing, largest_zeros(alpha, beta, missing)):
+            found[n] = _rows_cache[alpha, beta, n] = [x_nn, space.to_t(x_nn), None, None]
         while len(_rows_cache) > _ROWS_KEPT:
             del _rows_cache[next(iter(_rows_cache))]
-    bare = [k for k, row in found.items() if integrals and row[1] is None]
+    bare = [n for n, row in found.items() if integrals and row[2] is None]
     if bare:
-        _check_alpha(space)
-        tails = _tail_values(space, bare, [found[k][0] for k in bare])
-        for k, tail in zip(bare, tails):
-            found[k][1:] = tail, _cap_integral(space, found[k][0])
-    return [found[k] for k in ks]
+        for n, tail in zip(bare, _tail_values(space, bare, [found[n][0] for n in bare])):
+            found[n][2:] = tail, _cap_integral(space, space.gap(found[n][1]))
+    return [found[n] for n in ns]
 
 
 def nyquist_delta(space: SpaceParams, K: int) -> float:
-    """Largest zero t_KK of the space's degree-K Jacobi polynomial (t_min for K=0)."""
+    """Largest zero t_KK of the space's degree-K zonal polynomial (t_min for K=0)."""
     if not space.in_index_set(K):
         raise ValueError(f"K={K} not in index set of {space.space_id}")
-    if K == 0:
-        return space.t_min
-    return _rows(space, [K], integrals=False)[0][0]
+    return space.t_min if K == 0 else _rows(space, [space.degree(K)], integrals=False)[0][1]
 
 
 def _tail_integral_sq(space: SpaceParams, ks, deltas) -> list[float]:
-    """Integrals over [delta_i, 1] of (P_{K_i}(t)/P_{K_i}(1))^2 against the Jacobi weight.
+    """Integrals over [delta_i, 1] of r_{K_i}^2 against the weight, for a nondecreasing ks.
 
-    ``ks`` is nondecreasing.  Raises where the tail rule is unchecked
-    (alpha > 80) or the integral leaves the double range.
+    Raises where the tail rule is unchecked (alpha > 80) or the integral leaves the double range.
     """
     _check_alpha(space)
-    return [_checked_tail(space, delta, tail)
-            for delta, tail in zip(deltas, _tail_values(space, ks, deltas))]
-
-
-def _tail_at(space: SpaceParams, K: int, delta: float) -> float:
-    """The tail integral at (K, delta), the cached row's when delta is t_KK."""
-    if K >= 1 and delta == nyquist_delta(space, K):
-        return _checked_tail(space, delta, _rows(space, [K])[0][1])
-    return _tail_integral_sq(space, [K], [delta])[0]
+    tails = _tail_values(space, [space.degree(k) for k in ks], [space.to_x(d) for d in deltas])
+    return [_checked_tail(space, delta, tail) for delta, tail in zip(deltas, tails)]
 
 
 def _check_alpha(space: SpaceParams) -> None:
@@ -118,40 +108,38 @@ def _checked_tail(space: SpaceParams, delta: float, tail: float) -> float:
     return tail
 
 
-def _tail_values(space: SpaceParams, ks, deltas) -> list[float]:
-    """The tail integrals of _tail_integral_sq, unchecked.
+def _tail_values(space: SpaceParams, ns, xs) -> list[float]:
+    """Tail integrals over [x_i, 1] of r_{n_i}^2 against the Jacobi weight, unchecked.
 
-    Rows with K = 0 are cap integrals (P_0 = 1), taken in closed form: at
-    delta = -1 the factor (1+t)^beta vanishes at the far end of the tail,
+    Rows with n = 0 are cap integrals (r_0 = 1), taken in closed form: at
+    x = -1 the factor (1+x)^beta vanishes at the far end of the tail,
     where a rule cannot absorb it (it is singular there for a half-integer
     beta, and for large beta the integral rests on the rule's smallest
-    weights).  Every other row uses the 128-node tail rule at its delta, all
+    weights).  Every other row uses the 128-node tail rule at its x, all
     mapped by one ``tail_quadrature`` call, and all rows share one pass of
     the recurrence.
 
-    P_K has no zero on (t_KK, 1], and by Mehler-Heine P_K(1 - z^2/2K^2)
-    behaves like z^-alpha J_alpha(z).  After t = 1 - (1-delta) x the
+    P_n has no zero on (x_nn, 1], and by Mehler-Heine P_n(1 - z^2/2n^2)
+    behaves like z^-alpha J_alpha(z).  After x = 1 - (1-x_i) u the
     integrand is therefore smooth and sign-definite on [0, 1], with Taylor
     coefficients that fall faster than geometrically, so 128 nodes reach the
-    floor set by double-precision nodes near 1 and the P_K recurrence at
-    every K.
+    floor set by double-precision nodes near 1 and the P_n recurrence at
+    every n.
     """
     alpha, beta = space.alpha, space.beta
-    first = int(np.searchsorted(ks, 1))
-    tails = [_cap_integral(space, delta) for delta in deltas[:first]]
-    if first < len(ks):
-        rule = tail_quadrature(alpha, beta, deltas[first:], _TAIL_NODES)
-        pk1 = np.array([jacobi_at_one(JacobiIndex(alpha, beta, k)) for k in ks[first:]])
-        vals = (jacobi_eval_rows(alpha, beta, ks[first:], rule.nodes) / pk1[:, None]) ** 2
+    first = ns.count(0)
+    tails = [_cap_integral(space, (1.0 - x) / 2.0) for x in xs[:first]]
+    if first < len(ns):
+        rule = tail_quadrature(alpha, beta, xs[first:], _TAIL_NODES)
+        vals = jacobi_ratio_rows(alpha, beta, ns[first:], rule.nodes) ** 2
         tails += [float(np.dot(w, v)) for w, v in zip(rule.weights, vals)]
     return tails
 
 
-def _cap_integral(space: SpaceParams, delta: float) -> float:
-    """Integral over [delta, 1] of the Jacobi weight, 2^(alpha+beta+1) B_{(1-delta)/2}."""
+def _cap_integral(space: SpaceParams, gap: float) -> float:
+    """Integral over [x, 1] of the Jacobi weight, 2^(alpha+beta+1) B_gap, gap = (1-x)/2."""
     alpha, beta = space.alpha, space.beta
-    return 2.0 ** (alpha + beta + 1.0) * incomplete_beta((1.0 - delta) / 2.0,
-                                                         alpha + 1.0, beta + 1.0)
+    return 2.0 ** (alpha + beta + 1.0) * incomplete_beta(gap, alpha + 1.0, beta + 1.0)
 
 
 def _check_delta(space: SpaceParams, K: int, delta: float) -> None:
@@ -168,10 +156,14 @@ def t2_constant(space: SpaceParams, K: int, delta: float) -> float:
     """Sharp constant of the cap large-sieve inequality at band limit K.
 
     Equals the reciprocal of nu_perp times the tail integral of the squared
-    normalized degree-K Jacobi polynomial.  Requires t_KK <= delta < 1.
+    normalized degree-K zonal polynomial.  Requires t_KK <= delta < 1.
     """
     _check_delta(space, K, delta)
-    return 1.0 / (space.nu_perp * _tail_at(space, K, delta))
+    if K >= 1 and delta == nyquist_delta(space, K):  # the cached row's tail
+        tail = _checked_tail(space, delta, _rows(space, [space.degree(K)])[0][2])
+    else:
+        tail = _tail_integral_sq(space, [K], [delta])[0]
+    return 1.0 / (space.nu_perp * tail)
 
 
 def a_constant(space: SpaceParams, K: int) -> float:
@@ -182,7 +174,7 @@ def a_constant(space: SpaceParams, K: int) -> float:
     """
     if K < 1 or not space.in_index_set(K):
         raise ValueError(f"K must be >= 1 and in the index set of {space.space_id}")
-    t_kk, tail, cap = _rows(space, [K])[0]
+    _, t_kk, tail, cap = _rows(space, [space.degree(K)])[0]
     return cap / _checked_tail(space, t_kk, tail)
 
 
@@ -193,16 +185,14 @@ def constants_table(space: SpaceParams, K_max: int) -> list[dict]:
     integral.  Only rows missing from the row cache are computed, all in one
     zero solve and one pass of the Jacobi recurrence.
     """
-    stride = space.index_stride
-    if K_max < stride:
+    ks = space.index_set(K_max)[1:]  # the degrees 1, 2, ..., len(ks)
+    if not ks:
         raise ValueError(f"K_max={K_max} leaves no K >= 1 in the index set of "
-                         f"{space.space_id}; the smallest admissible K_max is {stride}")
-    ks = list(range(stride, K_max + 1, stride))
+                         f"{space.space_id}; the smallest admissible K_max is {space.band(1)}")
     out = []
-    for k, (t_kk, tail, cap) in zip(ks, _rows(space, ks)):
+    for k, (_, t_kk, tail, cap) in zip(ks, _rows(space, range(1, len(ks) + 1))):
         tail = _checked_tail(space, t_kk, tail)
-        out.append({"K": k, "t_KK": t_kk, "T2": 1.0 / (space.nu_perp * tail),
-                    "A_K": cap / tail})
+        out.append({"K": k, "t_KK": t_kk, "T2": 1.0 / (space.nu_perp * tail), "A_K": cap / tail})
     return out
 
 
@@ -219,6 +209,9 @@ def a_infinity(space: SpaceParams) -> float:
     j1 = bessel_first_zero(alpha)
     log_root = (alpha * math.log(j1 / 2.0) - log_gamma(alpha + 1.0)
                 - math.log(abs(bessel_j(alpha + 1.0, j1))))
+    if 2.0 * log_root > math.log(sys.float_info.max):  # from alpha = 1094 on (rp2190)
+        raise ValueError(f"A_infinity of {space.space_id} (alpha={alpha:g}) needs "
+                         f"exp({2.0 * log_root:.0f}), beyond the double range")
     return math.exp(2.0 * log_root) / (alpha + 1.0)
 
 

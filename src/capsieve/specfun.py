@@ -31,6 +31,7 @@ __all__ = [
     "QuadratureRule",
     "jacobi_eval",
     "jacobi_eval_rows",
+    "jacobi_ratio_rows",
     "jacobi_at_one",
     "jacobi_zero_count",
     "euler_rayleigh_bound",
@@ -199,6 +200,16 @@ def jacobi_eval_rows(alpha: float, beta: float, degrees, t) -> np.ndarray:
     Each row equals jacobi_eval of its own degree bit for bit.
     """
     return _jacobi_raw(alpha, beta, degrees, _check_t(t))
+
+
+def jacobi_ratio_rows(alpha: float, beta: float, degrees, t) -> np.ndarray:
+    """r_n = P_n / P_n(1) as jacobi_eval_rows gives P_n; degrees (a list or range) >= 0."""
+    first = degrees.count(0)
+    out = np.ones(np.shape(t))
+    if first < len(degrees):
+        pk1 = np.array([jacobi_at_one(JacobiIndex(alpha, beta, n)) for n in degrees[first:]])
+        out[first:] = jacobi_eval_rows(alpha, beta, degrees[first:], t[first:]) / pk1[:, None]
+    return out
 
 
 def jacobi_at_one(idx: JacobiIndex) -> float:
@@ -384,7 +395,8 @@ def _batch_zeros(alpha: float, beta: float, degrees: list[int], j: float) -> lis
 def largest_zeros(alpha: float, beta: float, degrees) -> list[float]:
     """Largest zero of P_n^(alpha,beta) for each n of a nondecreasing sequence of degrees >= 1.
 
-    n = 1 is the closed form (beta-alpha)/(alpha+beta+2).  Every other zero
+    n = 1 is the closed form (beta-alpha)/(alpha+beta+2), raised while the
+    recurrence finds P_1 <= 0 one ulp above it.  Every other zero
     starts Newton's method at largest_zero_estimate, each step taking P_n and
     P_{n-1} from one recurrence pass; it stops when the next iterate is
     predicted within an ulp.  The zero t is then certified by the Sturm
@@ -396,9 +408,17 @@ def largest_zeros(alpha: float, beta: float, degrees) -> list[float]:
     degrees = [int(n) for n in degrees]
     if degrees and (degrees[0] < 1 or any(b < a for a, b in zip(degrees, degrees[1:]))):
         raise ValueError("degrees must be >= 1 and nondecreasing")
+    top = max(degrees, default=0)
+    log_top = log_gamma(top + alpha + 1.0) - log_gamma(top + 1.0) - log_gamma(alpha + 1.0)
+    if log_top > 709.0:  # the recurrence overflows near here: e^709.78 is the largest double
+        raise ValueError(f"P_{top}^({alpha:g}, {beta:g})(1) = exp({log_top:.0f}) is beyond the "
+                         "double range, where the recurrence behind the zero overflows")
     ones = degrees.count(1)
     rest = degrees[ones:]
-    out = [(beta - alpha) / (alpha + beta + 2.0)] * ones
+    one = (beta - alpha) / (alpha + beta + 2.0)
+    while _jacobi_raw(alpha, beta, 1, math.nextafter(one, 2.0)) <= 0.0:
+        one = math.nextafter(one, 2.0)
+    out = [one] * ones
     if not rest:
         return out
     j = _start_bessel_zero(alpha)

@@ -1,13 +1,15 @@
 """Reference helpers that only the tests use, built on capsieve's public functions.
 
-Jacobi derivatives, squared norms and the Mehler-Heine residual, the
-reproducing kernel of S^2, and cap membership, sampling and intersection
-fractions on S^d and P^d(R).  The cap helpers reuse the region module's
+Jacobi derivatives, squared norms and the Mehler-Heine residual, exact
+rational constants of P^d(R) at integer alpha, the reproducing kernel of
+S^2, and cap membership, sampling and intersection fractions on S^d and
+P^d(R).  The cap helpers reuse the region module's
 pole sample and reflections, so a sample here is the one the density
 search scores.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.legendre import legval
@@ -24,23 +26,62 @@ def jacobi_derivative(idx: JacobiIndex, t):
     return fac * jacobi_eval(JacobiIndex(idx.alpha + 1.0, idx.beta + 1.0, idx.n - 1), t)
 
 
-def jacobi_norm_sq(idx: JacobiIndex, projective: bool = False) -> float:
-    """Squared weighted L2 norm of P_n^(alpha,beta).
-
-    Standard form integrates over (-1, 1); with ``projective`` set the
-    integral runs over (0, 1), which requires even degree and alpha == beta
-    (the integrand is then even and the value halves).
-    """
+def jacobi_norm_sq(idx: JacobiIndex) -> float:
+    """Squared weighted L2 norm of P_n^(alpha,beta) over (-1, 1)."""
     n, alpha, beta = idx.n, idx.alpha, idx.beta
-    if projective:
-        if n % 2 != 0:
-            raise ValueError("projective norm needs even degree")
-        if alpha != beta:
-            raise ValueError("projective norm needs alpha == beta")
     lg = (log_gamma(n + alpha + 1.0) + log_gamma(n + beta + 1.0)
           - log_gamma(n + 1.0) - log_gamma(n + alpha + beta + 1.0))
-    val = math.exp((alpha + beta + 1.0) * math.log(2.0) + lg) / (2 * n + alpha + beta + 1.0)
-    return 0.5 * val if projective else val
+    return math.exp((alpha + beta + 1.0) * math.log(2.0) + lg) / (2 * n + alpha + beta + 1.0)
+
+
+def _integral(poly, w: Fraction) -> Fraction:
+    """Integral over [0, w] of sum_i poly[i] u^i, by Horner's rule."""
+    acc = Fraction(0)
+    for i in range(len(poly) - 1, -1, -1):
+        acc = acc * w + Fraction(poly[i]) / (i + 1)
+    return acc * w
+
+
+def _product(p, q) -> list:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _rp_series(alpha: int, K: int) -> list[Fraction]:
+    """Coefficients in u = 1 - t of r_K = P_K^(alpha,alpha)(t) / P_K(1)."""
+    series = [Fraction(1)]
+    for j in range(K):
+        series.append(series[-1] * (j - K) * (K + 2 * alpha + 1 + j)
+                      / (2 * (alpha + 1 + j) * (j + 1)))
+    return series
+
+
+def rp_ratio(alpha: int, K: int, t: float) -> Fraction:
+    """r_K(t) = P_K^(alpha,alpha)(t) / P_K(1) at a double t, exactly."""
+    u, acc = 1 - Fraction(t), Fraction(0)
+    for c in reversed(_rp_series(alpha, K)):
+        acc = acc * u + c
+    return acc
+
+
+def rp_exact_constants(alpha: int, K: int, delta: float) -> tuple[Fraction, Fraction]:
+    """Exact T2(K, delta) and A_K at delta on P^d(R), alpha = (d-2)/2 an integer, in t.
+
+    The model is the one in t: r_K = P_K^(alpha,alpha)(t) / P_K(1) on (0, 1),
+    the terminating series sum_j (-K)_j (K+2alpha+1)_j / ((alpha+1)_j j!) (u/2)^j
+    in u = 1 - t (DLMF 18.5.7), against the weight (1 - t^2)^alpha = u^alpha (2 - u)^alpha.
+    The double delta is a rational, so with w = 1 - delta both are rationals:
+    T2 = int_0^1 weight / int_0^w r_K^2 weight, A_K = int_0^w weight / int_0^w r_K^2 weight.
+    """
+    series = _rp_series(alpha, K)
+    weight = [0] * alpha + [math.comb(alpha, i) * 2 ** (alpha - i) * (-1) ** i
+                            for i in range(alpha + 1)]
+    w = 1 - Fraction(delta)
+    tail = _integral(_product(_product(series, series), weight), w)
+    return _integral(weight, Fraction(1)) / tail, _integral(weight, w) / tail
 
 
 def mehler_heine_residual(idx: JacobiIndex, z: float) -> float:

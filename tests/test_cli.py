@@ -2,12 +2,14 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 import capsieve as cs
 from capsieve.cli import main
+from reference import rp_ratio
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +63,24 @@ def test_zeros_output(capsys):
     assert payload["t_KK"] <= payload["euler_rayleigh_bound"]
     # the large-K estimate carries an O(K^-3) error term
     assert payload["asymptotic_estimate"] == pytest.approx(payload["t_KK"], abs=6e-3)
+
+
+@pytest.mark.parametrize("K", [2, 10, 100])
+def test_zeros_rp2_prints_a_true_bracket(capsys, K):
+    # r_K = P_K(t) / P_K(1), exactly: positive on [t_KK, 1] and <= 0 at the bracket's
+    # low end, at least one ulp of t_KK below; everything is mapped from x = 2t^2 - 1
+    code, out, _ = run_cli(capsys, "zeros", "rp2", "--K", str(K))
+    assert code == 0
+    zero = json.loads(out)
+    t_kk, width = zero["t_KK"], zero["bracket_width"]
+    assert t_kk == cs.nyquist_delta(cs.space_from_id("rp2"), K)
+    assert width >= math.ulp(t_kk)
+    assert rp_ratio(0, K, t_kk) > 0 >= rp_ratio(0, K, t_kk - width)
+    top = np.polynomial.legendre.leggauss(K)[0].max()
+    assert t_kk - width - 1e-15 <= top <= t_kk + 1e-15
+    assert zero["theta_K1"] == math.acos(t_kk)
+    assert t_kk <= zero["euler_rayleigh_bound"]  # >= the largest zero, rounded up
+    assert zero["asymptotic_estimate"] == pytest.approx(t_kk, abs=6e-3)
 
 
 def test_limit_value(capsys):
@@ -323,13 +343,13 @@ def test_warm_table_solves_nothing_and_prints_the_cold_bytes(capsys, monkeypatch
 def test_table_runs_one_batched_recurrence(capsys, monkeypatch):
     from capsieve import sieve
 
-    calls = []
+    real, calls = sieve.jacobi_ratio_rows, []
 
     def counting(alpha, beta, degrees, t):
         calls.append(list(degrees))
-        return cs.jacobi_eval_rows(alpha, beta, degrees, t)
+        return real(alpha, beta, degrees, t)
 
-    monkeypatch.setattr(sieve, "jacobi_eval_rows", counting)
+    monkeypatch.setattr(sieve, "jacobi_ratio_rows", counting)
     code, _, _ = run_cli(capsys, "table", "s2", "--K-max", "20")
     assert code == 0
     assert calls == [list(range(1, 21))]
@@ -372,12 +392,14 @@ def test_verify_ordering_cay16(capsys):
 
 @pytest.mark.parametrize("space_id", ["s2", "rp2", "s3", "cp4", "hp8", "cay16"])
 def test_verify_ordering_detects_a_lowered_t_kk(capsys, monkeypatch, space_id):
-    # t_KK one ulp below the largest zero of P_(K-1)^(alpha+1,beta) breaks r_(K-1) >= r_K
+    # t_KK one ulp below the largest zero of P_(n-1)^(alpha+1,beta), n = degree(K),
+    # breaks r_(n-1) >= r_n; on rp2 the zero is in x = 2t^2 - 1
     import capsieve.oracle as oracle
 
     sp = cs.space_from_id(space_id)
-    top = cs.largest_zeros(sp.alpha + 1.0, sp.beta, [29])[0]
-    monkeypatch.setattr(oracle, "nyquist_delta", lambda space, k: math.nextafter(top, -1.0))
+    top = cs.largest_zeros(sp.alpha + 1.0, sp.beta, [sp.degree(30) - 1])[0]
+    lowered = math.nextafter(sp.to_t(top), -1.0)
+    monkeypatch.setattr(oracle, "nyquist_delta", lambda space, k: lowered)
     code, out, _ = run_cli(capsys, "verify", "--suite", "ordering", "--space", space_id,
                            "--K", "30")
     assert code == 2
@@ -435,10 +457,16 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     (["--suite", "ordering", "--space", "rp2", "--K", "1"],
      "--K=1 leaves no K >= 1 in the index set of rp2 for the ordering suite; "
      "the smallest admissible --K is 2"),
+    (["--suite", "structural", "--K", "-3"],
+     "--K=-3 leaves no K >= 1 in the index set of s2 for the structural suite; "
+     "the smallest admissible --K is 1"),
+    (["--suite", "structural", "--space", "rp2", "--K", "1"],
+     "--K=1 leaves no K >= 1 in the index set of rp2 for the structural suite; "
+     "the smallest admissible --K is 2"),
     (["--suite", "spectral", "--K", "-3"], "--K must be >= 0 for the spectral suite, got -3"),
     (["--suite", "convolution", "--seed", "-1"],
      "--seed must be >= 0 for the convolution suite, got -1"),
-], ids=["extremal", "ordering", "spectral", "convolution"])
+], ids=["extremal", "ordering", "structural", "structural-rp2", "spectral", "convolution"])
 def test_verify_names_the_broken_precondition(capsys, argv, message):
     # no suite may pass with no check, and no error may leave its flag unnamed
     assert run_cli(capsys, "verify", *argv) == (1, "", f"error: {message}\n")
@@ -456,6 +484,15 @@ def test_verify_convolution_detects_a_scaled_coefficient(capsys, monkeypatch, fa
     (check,) = json.loads(out)["checks"]
     assert check["threshold"] == 1e-12 and check["value"] < 1e-7
     assert code == (0 if factor == 1.0 else 2)
+
+
+@pytest.mark.parametrize("space_id", ["s2", "rp2", "rp3", "s3", "cp4", "hp8", "cay16"])
+def test_verify_all_passes_on_every_family(capsys, space_id):
+    # every suite at the default --K, within a second
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--space", space_id)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and json.loads(out)["all_pass"] is True
 
 
 def test_verify_report_shape(capsys):

@@ -17,13 +17,14 @@ def test_catalog_parameters():
     assert (s2.alpha, s2.beta) == (0.0, 0.0)
     assert s2.nu_perp == pytest.approx(0.5, rel=1e-14)
     assert s2.gamma_tag == "pi/L"
-    assert s2.interval == (-1.0, 1.0)
+    assert s2.t_min == -1.0
 
+    # P^2(R) is the Jacobi family (0, -1/2) in x = 2t^2 - 1, at degree n = K/2
     rp2 = make_space(Family.REAL_PROJECTIVE, 2)
-    assert (rp2.alpha, rp2.beta) == (0.0, 0.0)
-    assert rp2.index_stride == 2
-    assert rp2.interval == (0.0, 1.0)
-    assert rp2.nu_perp == pytest.approx(1.0, rel=1e-14)
+    assert (rp2.alpha, rp2.beta) == (0.0, -0.5)
+    assert (rp2.band(1), rp2.degree(7), rp2.degree(8)) == (2, 3, 4)
+    assert rp2.t_min == 0.0
+    assert rp2.nu_perp == pytest.approx(2.0 ** -0.5 / 2.0, rel=1e-14)  # B(1, 1/2) = 2
     assert rp2.gamma_tag == "pi/2L"
 
     cay = make_space(Family.CAYLEY_PROJECTIVE, 16)
@@ -44,7 +45,7 @@ def test_alpha_beta_relations():
     for sid in ("s1", "s2", "s5", "rp2", "rp7", "cp4", "cp10", "hp8", "hp12", "cay16"):
         sp = space_from_id(sid)
         assert sp.alpha == (sp.d - 2) / 2.0
-        assert sp.beta == (sp.rho - 1) / 2.0
+        assert sp.beta == (-0.5 if sp.family is Family.REAL_PROJECTIVE else (sp.rho - 1) / 2.0)
         assert sp.alpha >= sp.beta >= -0.5
         assert sp.alpha + sp.beta >= -1.0
 
@@ -65,16 +66,16 @@ def test_admissibility_rejections():
 
 def test_nu_perp_at_the_edge_of_double_range():
     mpmath = pytest.importorskip("mpmath")
-    for sid in ("s1000", "s1018", "rp1018"):
+    # B(alpha+1, 1/2) of P^d(R) stays in the normal range
+    for sid in ("s1000", "s1018", "rp1018", "rp1030", "rp2200"):
         sp = space_from_id(sid)
         a = mpmath.mpf(sp.d - 2) / 2
+        b = mpmath.mpf(-1) / 2 if sp.family is Family.REAL_PROJECTIVE else a
         with mpmath.workdps(40):
-            want = float(2 ** -(2 * a + 1) / mpmath.beta(a + 1, a + 1))
-        if sp.family is Family.REAL_PROJECTIVE:
-            want *= 2.0
+            want = float(2 ** -(a + b + 1) / mpmath.beta(a + 1, b + 1))
         assert sp.nu_perp == pytest.approx(want, rel=5e-15), sid
     # from s1020 on B(alpha+1, beta+1) is subnormal: an 8e-12 error at s1030
-    for sid in ("s1020", "rp1030", "s1100", "s2000"):
+    for sid in ("s1020", "s1100", "s2000"):
         with pytest.raises(ValueError, match=r"\(alpha=\d+\).*normal double range"):
             space_from_id(sid)
 
@@ -93,8 +94,6 @@ def test_normalization_integral(family_spaces):
     for sp in family_spaces + [space_from_id("s1"), space_from_id("s3")]:
         rule = gauss_jacobi_rule(sp.alpha, sp.beta, 48)
         total = float(rule.weights.sum())
-        if sp.family is Family.REAL_PROJECTIVE:
-            total /= 2.0  # even weight, interval (0, 1)
         assert sp.nu_perp * total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -132,6 +131,7 @@ def test_eigenspace_index_set():
         eigenspace_info(rp2, 3)
     info = eigenspace_info(rp2, 2)
     assert info.d_k == 5  # even degree-2 harmonics on the sphere
+    assert info.lambda_k == -6.0  # -K (K + d - 1), the Laplacian's on the sphere
     assert list(rp2.index_set(7)) == [0, 2, 4, 6]
 
 
@@ -150,13 +150,12 @@ def test_integrality_flag_never_raised(family_spaces):
 def test_addition_formula_identities(family_spaces):
     # D_k P_k(1) = d_k and D_k^2 nu_perp ||P_k||^2 = d_k
     for sp in family_spaces:
-        projective = sp.family is Family.REAL_PROJECTIVE
         for k in sp.index_set(20):
             info = eigenspace_info(sp, k)
-            idx = JacobiIndex(sp.alpha, sp.beta, k)
+            idx = JacobiIndex(sp.alpha, sp.beta, sp.degree(k))
             pk1 = jacobi_at_one(idx)
             assert info.D_k * pk1 == pytest.approx(info.d_k_raw, rel=1e-9)
-            nsq = jacobi_norm_sq(idx, projective=projective)
+            nsq = jacobi_norm_sq(idx)
             assert info.D_k ** 2 * sp.nu_perp * nsq == pytest.approx(
                 info.d_k_raw, rel=1e-9)
             # sqrt(d_k) = P_k(1) / (sqrt(nu_perp) ||P_k||)
@@ -210,11 +209,12 @@ def test_zonal_coefficient_self(family_spaces):
     for sp in family_spaces:
         projective = sp.family is Family.REAL_PROJECTIVE
         for k in sp.index_set(8):
-            idx = JacobiIndex(sp.alpha, sp.beta, k)
-            nrm = math.sqrt(sp.nu_perp * jacobi_norm_sq(idx, projective=projective))
+            idx = JacobiIndex(sp.alpha, sp.beta, sp.degree(k))
+            nrm = math.sqrt(sp.nu_perp * jacobi_norm_sq(idx))
 
-            def unit_zonal(t, idx=idx, nrm=nrm):
-                return jacobi_eval(idx, t) / nrm
+            def unit_zonal(t, idx=idx, nrm=nrm, projective=projective):
+                # P^d(R) carries P_n^(alpha,-1/2)(2t^2 - 1)
+                return jacobi_eval(idx, 2.0 * t * t - 1.0 if projective else t) / nrm
 
             got = zonal_coefficient(sp, 10, unit_zonal, k)
             assert got == pytest.approx(1.0, rel=1e-10)

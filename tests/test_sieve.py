@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from capsieve.region import MeasureSpec, measure_bound
 from capsieve.sieve import _tail_integral_sq, a_constant, a_infinity, bound_report, \
     constants_table, nyquist_delta, t2_constant
 from capsieve.specfun import _gauss_jacobi_cached
+from reference import rp_exact_constants
 
 
 def test_t2_hemisphere_closed_form(s2):
@@ -47,7 +49,7 @@ def test_t2_rejects_delta_below_zero_region(s2):
 
 def test_t2_monotone_in_delta(family_spaces):
     for sp in family_spaces:
-        K = 4 if sp.index_stride == 1 else 4
+        K = 4
         t_kk = nyquist_delta(sp, K)
         deltas = np.linspace(t_kk, 0.99999, 12)
         vals = [t2_constant(sp, K, float(d)) for d in deltas]
@@ -67,7 +69,7 @@ def test_t2_at_least_eigenspace_total(family_spaces):
 
 def test_a_constant_identity(family_spaces):
     for sp in family_spaces:
-        for K in (sp.index_stride, 4 * sp.index_stride):
+        for K in (sp.band(1), sp.band(4)):
             t_kk = nyquist_delta(sp, K)
             direct = a_constant(sp, K)
             composed = cs.cap_measure(sp, t_kk) * t2_constant(sp, K, t_kk)
@@ -78,29 +80,47 @@ def test_t2_tail_rule_against_mpmath():
     # 40-digit tail integral at the same delta: (P_K/P_K(1))^2 is the
     # terminating 2F1(-K, K+alpha+beta+1; alpha+1; (1-t)/2) squared, and
     # t = 1 - (1-delta) x turns the weight into x^alpha (2-(1-delta)x)^beta
-    # rp2's beta = -1/2 keeps (2 - w x)^beta from being a polynomial
+    # s3's beta = 1/2 keeps (2 - w x)^beta from being a polynomial.  P^d(R)
+    # is taken in t, as P_K^(alpha,alpha) on (0, 1) with nu = 4^-alpha / B(alpha+1, alpha+1)
     mpmath = pytest.importorskip("mpmath")
     for sid in ("s2", "rp2", "s3", "cp4", "cay16", "s82"):
         sp = cs.space_from_id(sid)
-        a, b = sp.alpha, sp.beta
-        small = (1, 2, 7, 31) if sp.index_stride == 1 else (2, 8, 30)
+        rp = sp.family is cs.Family.REAL_PROJECTIVE
+        a, b = sp.alpha, sp.alpha if rp else sp.beta
+        small = (2, 8, 30) if rp else (1, 2, 7, 31)
         for K in (*small, 60, 400, 1400):
             delta = nyquist_delta(sp, K)
             with mpmath.workdps(40):
                 w = 1 - mpmath.mpf(delta)
+                nu = 4 ** -a / mpmath.beta(a + 1, a + 1) if rp else sp.nu_perp
 
                 def f(x):
                     return (mpmath.hyp2f1(-K, K + a + b + 1, a + 1, w * x / 2) ** 2
                             * x ** a * (2 - w * x) ** b)
 
-                want = 1 / (sp.nu_perp * w ** (a + 1) * mpmath.quad(f, [0, 1]))
+                want = 1 / (nu * w ** (a + 1) * mpmath.quad(f, [0, 1]))
             assert t2_constant(sp, K, delta) == pytest.approx(
                 float(want), rel=1e-12 if K < 32 else 1e-11), (sid, K)
 
 
+def test_rp_constants_against_the_exact_rational_reference():
+    # T2 and A_K at the printed t_KK against exact rationals in t, apart from
+    # the (alpha, -1/2) model in x; a cap integral taken through 1 - x instead
+    # of (1 - t)(1 + t) reads up to 1.4e-13 off at K <= 60 and fails here
+    t0 = time.perf_counter()
+    cases = [(sid, K, 6e-14) for sid in ("rp2", "rp4", "rp6") for K in range(2, 61, 2)]
+    for sid, K, tol in cases + [("rp2", 200, 5e-14)]:
+        sp = cs.space_from_id(sid)
+        t_kk = nyquist_delta(sp, K)
+        t2, a_k = rp_exact_constants(int(sp.alpha), K, t_kk)
+        assert abs(t2_constant(sp, K, t_kk) / t2 - 1) <= tol, (sid, K)
+        assert abs(a_constant(sp, K) / a_k - 1) <= tol, (sid, K)
+    assert time.perf_counter() - t0 < 5.0
+
+
 def test_a_constant_at_least_one(family_spaces):
     for sp in family_spaces:
-        for K in (sp.index_stride, 8 * sp.index_stride):
+        for K in (sp.band(1), sp.band(8)):
             assert a_constant(sp, K) >= 1.0
 
 
@@ -228,8 +248,7 @@ def test_a_infinity_beta_independent(s2, rp2):
 def test_a_constant_converges_to_limit():
     for sid in ("s2", "s3", "cp4", "rp2"):
         sp = cs.space_from_id(sid)
-        st = sp.index_stride
-        rows = cs.limit_check(sp, [64 * st, 128 * st, 256 * st])
+        rows = cs.limit_check(sp, [sp.band(n) for n in (64, 128, 256)])
         gaps = [r[2] for r in rows]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 0.02 * a_infinity(sp)

@@ -288,15 +288,9 @@ def test_jacobi_norm_sq_legendre():
     for k in (1, 3, 10):
         assert jacobi_norm_sq(JacobiIndex(0, 0, k)) == pytest.approx(
             2.0 / (2.0 * k + 1.0), rel=1e-13)
-    assert jacobi_norm_sq(JacobiIndex(0, 0, 0), projective=True) == pytest.approx(
-        1.0, rel=1e-14)
-
-
-def test_jacobi_norm_sq_projective_preconditions():
-    with pytest.raises(ValueError):
-        jacobi_norm_sq(JacobiIndex(0.5, 0.5, 3), projective=True)
-    with pytest.raises(ValueError):
-        jacobi_norm_sq(JacobiIndex(1.0, 0.0, 2), projective=True)
+    # (0, -1/2), the family of P^2(R): the integral of (1+x)^(-1/2) is 2 sqrt(2)
+    assert jacobi_norm_sq(JacobiIndex(0, -0.5, 0)) == pytest.approx(2.0 * math.sqrt(2.0),
+                                                                    rel=1e-14)
 
 
 def test_orthogonality_against_quadrature():
