@@ -212,7 +212,10 @@ def _suite_spectral(K: int) -> list[dict]:
 
 def _suite_limit(space_id: str) -> list[dict]:
     space = space_from_id(space_id)
-    rows = limit_check(space, [space.band(n) for n in (64, 128, 256)])
+    scale = 1  # A_K nears A_infinity at degrees that grow with alpha: double them per
+    while 10 * scale < space.alpha:  # doubling of alpha past 10
+        scale *= 2
+    rows = limit_check(space, [space.band(n * scale) for n in (64, 128, 256)])
     gaps = [r[2] for r in rows]
     dec = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
     rel = gaps[-1] / a_infinity(space)

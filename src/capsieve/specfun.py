@@ -7,10 +7,10 @@ kind with their first positive zero.
 
 Everything is plain double precision; gamma ratios go through log-gamma
 differences so endpoint values and norms stay finite for large degrees.
-One three-term recurrence gives every Jacobi value, and its Sturm count.
-Largest zeros come from one engine: Newton from Gatteschi's asymptotic
-start, certified to one ulp by the Sturm counts of two passes, over one
-degree or many degrees of a family at once.  Bessel J is one backward
+One three-term recurrence, over coefficients tabulated once per family,
+gives every Jacobi value and its Sturm count.  Largest zeros come from one
+Newton body started at Gatteschi's asymptotic estimate, each certified to
+one ulp by the Sturm counts of two passes.  Bessel J is one backward
 recurrence (Miller) for every order >= -1/2.
 """
 
@@ -20,6 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -127,22 +128,48 @@ def _check_t(t):
     return np.clip(arr, -1.0, 1.0)
 
 
+_TABLE_FAMILIES = 32  # recurrence tables kept; the oldest family goes first
+_tables: dict[tuple[float, float], tuple[list, list, list]] = {}
+
+
+def _recurrence(alpha: float, beta: float, n: int) -> tuple[list, list, list]:
+    """(a_k, b_k, c_k) of P_{k+1} = (a_k t + b_k) P_k - c_k P_{k-1} for k = 1, 2, ...
+
+    At least n - 1 entries of each, as lists of floats.  A family's table is
+    built once and doubles when a degree outgrows it.
+    """
+    key = (float(alpha), float(beta))
+    table = _tables.get(key)
+    if table is None or len(table[0]) < n - 1:
+        size = len(table[0]) if table else 64
+        while size < n - 1:
+            size *= 2
+        ab, k = alpha + beta, np.arange(1.0, size + 1.0)
+        tmp = 2.0 * k + ab
+        den = 2.0 * (k + 1.0) * (k + ab + 1.0)
+        a_k = (tmp + 1.0) * (tmp + 2.0) / den
+        b_k = (alpha * alpha - beta * beta) * (tmp + 1.0) / (den * tmp)
+        c_k = (k + alpha) * (k + beta) * (tmp + 2.0) / (0.5 * den * tmp)
+        if table is None and len(_tables) >= _TABLE_FAMILIES:
+            del _tables[next(iter(_tables))]
+        table = _tables[key] = (a_k.tolist(), b_k.tolist(), c_k.tolist())
+    return table
+
+
 def _jacobi_raw(alpha: float, beta: float, n, t, previous: bool = False, sturm: bool = False):
-    """Upward three-term recurrence.
+    """Upward three-term recurrence over the family's _recurrence table.
 
     Either n is one degree and t a scalar or an ndarray, or n is a
     nondecreasing sequence of degrees >= 1, one per row of a 2-D t.  Row i
     is then taken when the recurrence reaches n[i], and finished rows leave
-    the arithmetic, so one pass costs sum(n) * t.shape[1] steps.  With
-    ``previous`` set (n >= 1), the pair (P_{n-1}, P_n) is returned from the
-    same pass.  With ``sturm`` set, the number of zeros of P_n in [t, 1] is
-    returned instead, a P_n that rounds to 0.0 counting as a zero at t.
-    P_0, ..., P_n is a Sturm sequence (Golub & Van Loan, Matrix Computations,
-    8.4): leading coefficients are positive and P_{k+1} = (a_k t + b_k) P_k
-    - c_k P_{k-1} with c_k > 0, so the zeros above t are its sign changes.  A
-    zero P_k with k < n sits between neighbours of opposite sign.
+    the arithmetic, so one pass costs sum(n) * t.shape[1] steps.  For one
+    degree n >= 1, ``previous`` returns the pair (P_{n-1}, P_n) from the same
+    pass, and ``sturm`` the number of zeros of P_n in [t, 1] instead, a P_n
+    that rounds to 0.0 counting as a zero at t.  P_0, ..., P_n is a Sturm
+    sequence (Golub & Van Loan, Matrix Computations, 8.4): leading
+    coefficients are positive and c_k > 0, so the zeros above t are its sign
+    changes.  A zero P_k with k < n sits between neighbours of opposite sign.
     """
-    ab = alpha + beta
     single = isinstance(n, (int, np.integer))
     if single:
         if n == 0:
@@ -152,36 +179,25 @@ def _jacobi_raw(alpha: float, beta: float, n, t, previous: bool = False, sturm: 
         if np.ndim(t) != 2 or len(n) != len(t) or n[0] < 1 or np.any(np.diff(n) < 0):
             raise ValueError("degrees must be >= 1, nondecreasing and one per row of a 2-D t")
         stops, counts = zip(*sorted(Counter(n).items()))
-        outs = [np.empty(t.shape, np.int64) if sturm else np.empty_like(t)]
-        if previous and not sturm:
-            outs.append(np.empty_like(t))
+        out = np.empty_like(t)
+    steps = zip(*_recurrence(alpha, beta, stops[-1]))
     pm = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
-    pc = 0.5 * ((ab + 2.0) * t + (alpha - beta))
+    pc = 0.5 * ((alpha + beta + 2.0) * t + (alpha - beta))
     changes = 1 * (pc < 0.0) if sturm else 0
     start, done = 1, 0
     for stop, count in zip(stops, counts):
-        for k in range(start, stop):
-            tmp = 2.0 * k + ab
-            den = 2.0 * (k + 1.0) * (k + ab + 1.0)
-            a_k = (tmp + 1.0) * (tmp + 2.0) / den
-            b_k = (alpha * alpha - beta * beta) * (tmp + 1.0) / (den * tmp)
-            c_k = (k + alpha) * (k + beta) * (tmp + 2.0) / (0.5 * den * tmp)
+        for a_k, b_k, c_k in islice(steps, stop - start):
             pm, pc = pc, (a_k * t + b_k) * pc - c_k * pm
             if sturm:
                 changes = changes + ((pc < 0.0) != (pm < 0.0))
-        if sturm:  # a zero P_n counts: just below t its sign is opposite to P_{n-1}'s
-            got = (changes + ((pc == 0.0) & (pm >= 0.0)),)
-        else:
-            got = (pm, pc) if previous else (pc,)
+        if single and sturm:  # a zero P_n counts: just below t its sign is opposite to P_{n-1}'s
+            return changes + ((pc == 0.0) & (pm >= 0.0))
         if single:
-            return got if len(got) == 2 else got[0]
-        for out, val in zip(outs, got):
-            out[done:done + count] = val[:count]
+            return (pm, pc) if previous else pc
+        out[done:done + count] = pc[:count]
         pm, pc, t = pm[count:], pc[count:], t[count:]
-        if sturm:
-            changes = changes[count:]
         start, done = stop, done + count
-    return tuple(outs) if len(outs) == 2 else outs[0]
+    return out
 
 
 def jacobi_eval(idx: JacobiIndex, t):
@@ -293,13 +309,6 @@ def _newton_step(alpha, beta, n, x, p, slope):
 
 _NEWTON_STEPS = 100
 _SEARCH_STEPS = 1100  # doublings of one ulp: enough to cross [-1, 1] from anywhere
-# Fewer rows than this are solved one by one.  A batched pass costs a few
-# numpy calls per recurrence step, a scalar one a few float operations per
-# step and row.  Replaying the perfbench table workload in one process, the
-# zero solves took 30.5 ms with this cut, 38.3 ms with every add batched and
-# 44.7 ms with none: its adds of 1-11 rows run faster one by one, its adds of
-# 52-68 rows faster batched.
-_BATCH_ROWS = 32
 
 
 def _newton(alpha: float, beta: float, n: int, x: float) -> float:
@@ -357,41 +366,6 @@ def _certified(alpha: float, beta: float, n: int, x: float) -> float:
                        f"near {x!r}")  # pragma: no cover
 
 
-def _batch_zeros(alpha: float, beta: float, degrees: list[int], j: float) -> list[float]:
-    """_one_zero of each degree, one recurrence pass per Newton step over all rows.
-
-    Every row takes the scalar path's decisions on the same doubles, so it
-    ends on the same double; finished rows leave the pass.  One Sturm pass
-    then checks the pairs one ulp either side of each last iterate, and the
-    rows whose sign change lies further go through _certified.
-    """
-    ns = np.array(degrees)
-    bound = np.array([_euler_rayleigh(alpha, beta, n) for n in degrees])
-    x = np.array([_zero_start(alpha, beta, n, j) for n in degrees])
-    rows, last = np.arange(len(degrees)), np.empty(len(degrees))
-    for _step in range(_NEWTON_STEPS):
-        if not rows.size:
-            break
-        pm, p = (v[:, 0] for v in _jacobi_raw(alpha, beta, ns[rows], x[:, None], previous=True))
-        slope = _slope(alpha, beta, ns[rows], x, pm, p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new, err = _newton_step(alpha, beta, ns[rows], x, p, slope)
-        zero, moves = p == 0.0, (slope > 0.0) & (new > -1.0)
-        stop = zero | (moves & (err <= np.spacing(np.abs(new))))
-        last[rows[stop]] = np.where(zero, x, np.minimum(new, bound[rows]))[stop]
-        x = np.where(moves, np.minimum(new, bound[rows]), bound[rows])[~stop]
-        rows = rows[~stop]
-    else:  # pragma: no cover
-        raise RuntimeError("Newton iteration for the largest zero did not stop")
-    near = np.stack([np.nextafter(last, -np.inf), last, np.nextafter(last, np.inf)], axis=1)
-    zeros = _jacobi_raw(alpha, beta, degrees, near, sturm=True)
-    out = np.where(zeros[:, 1] == 0, last, near[:, 2]).tolist()
-    settled = np.where(zeros[:, 1] == 0, zeros[:, 0] == 1, (zeros[:, 1] == 1) & (zeros[:, 2] == 0))
-    for i in np.flatnonzero(~settled):
-        out[i] = _certified(alpha, beta, degrees[i], float(last[i]))
-    return out
-
-
 def largest_zeros(alpha: float, beta: float, degrees) -> list[float]:
     """Largest zero of P_n^(alpha,beta) for each n of a nondecreasing sequence of degrees >= 1.
 
@@ -401,8 +375,8 @@ def largest_zeros(alpha: float, beta: float, degrees) -> list[float]:
     P_{n-1} from one recurrence pass; it stops when the next iterate is
     predicted within an ulp.  The zero t is then certified by the Sturm
     counts of two passes: P_n has no zero in [t, 1] and exactly one in
-    [nextafter(t, -1), 1].  Many degrees share each pass; a zero is the same
-    double whether it is solved alone or with others.
+    [nextafter(t, -1), 1].  Each degree is solved on its own, so a zero is
+    the same double whether it is asked for alone or with others.
     """
     JacobiIndex(alpha, beta, 0)  # checks the parameters
     degrees = [int(n) for n in degrees]
@@ -422,13 +396,9 @@ def largest_zeros(alpha: float, beta: float, degrees) -> list[float]:
     if not rest:
         return out
     j = _start_bessel_zero(alpha)
-    if len(rest) >= _BATCH_ROWS:
-        return out + _batch_zeros(alpha, beta, rest, j)
-    return out + [_one_zero(alpha, beta, n, j) for n in rest]
-
-
-def _one_zero(alpha: float, beta: float, n: int, j: float) -> float:
-    return _certified(alpha, beta, n, _newton(alpha, beta, n, _zero_start(alpha, beta, n, j)))
+    return out + [_certified(alpha, beta, n,
+                             _newton(alpha, beta, n, _zero_start(alpha, beta, n, j)))
+                  for n in rest]
 
 
 def largest_zero(idx: JacobiIndex) -> ZeroResult:

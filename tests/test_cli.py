@@ -322,7 +322,7 @@ def test_table_solves_one_zero_per_row(capsys, monkeypatch):
 
 @pytest.mark.parametrize("warm_up", [["30"], ["30", "40", "50"]])
 def test_warm_table_solves_nothing_and_prints_the_cold_bytes(capsys, monkeypatch, warm_up):
-    # rows 31..60 come from one batch after 30, and one by one after 30, 40, 50
+    # rows 31..60 are solved in one largest_zeros call after 30, and in three after 30, 40, 50
     from capsieve import sieve, specfun
 
     cold = run_cli(capsys, "table", "s2", "--K-max", "60")[1]
@@ -493,6 +493,25 @@ def test_verify_all_passes_on_every_family(capsys, space_id):
     code, out, _ = run_cli(capsys, "verify", "--space", space_id)
     assert time.perf_counter() - t0 < 1.0
     assert code == 0 and json.loads(out)["all_pass"] is True
+
+
+@pytest.mark.parametrize("space_id", ["s82", "rp82", "s162", "rp162"])
+def test_verify_limit_passes_at_large_alpha(capsys, space_id):
+    # the degrees of the ladder grow with alpha, where A_K nears A_infinity later
+    code, out, _ = run_cli(capsys, "verify", "--suite", "limit", "--space", space_id)
+    assert code == 0 and json.loads(out)["all_pass"] is True
+
+
+def test_verify_limit_detects_a_scaled_a_infinity(capsys, monkeypatch):
+    import capsieve.cli as cli
+    import capsieve.oracle as oracle
+
+    a_inf = cs.a_infinity
+    for module in (cli, oracle):
+        monkeypatch.setattr(module, "a_infinity", lambda space: 1.1 * a_inf(space))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "limit", "--space", "s82")
+    (gap,) = [c for c in json.loads(out)["checks"] if c["check"] == "limit_gap_final[s82]"]
+    assert code == 2 and gap["pass"] is False
 
 
 def test_verify_report_shape(capsys):

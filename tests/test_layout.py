@@ -58,6 +58,14 @@ def test_every_export_is_used_by_the_program():
     assert sorted(set(capsieve.__all__) - used) == []
 
 
+def test_readme_usage_block_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    scope = {}
+    exec(block, scope)
+    assert scope["cs"].t2_constant(scope["s2"], 0, 0.0) == 2.0
+
+
 def test_module_exports_are_defined_in_the_module():
     offenders = []
     for path in sorted(SRC.glob("*.py")):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from capsieve import specfun
 from capsieve.specfun import (
     JacobiIndex,
     _jacobi_raw,
@@ -453,6 +454,41 @@ CERTIFIED_AB = [(0.0, 0.0), (0.0, -0.5), (0.5, 0.5), (1.0, 0.0), (3.0, 1.0), (7.
                 (40.0, 40.0), (80.0, 80.0)]
 
 
+def _inline_coefficients(alpha, beta, k):
+    # reference: (a_k, b_k, c_k) as each recurrence step computed them inline
+    ab = alpha + beta
+    tmp = 2.0 * k + ab
+    den = 2.0 * (k + 1.0) * (k + ab + 1.0)
+    return ((tmp + 1.0) * (tmp + 2.0) / den,
+            (alpha * alpha - beta * beta) * (tmp + 1.0) / (den * tmp),
+            (k + alpha) * (k + beta) * (tmp + 2.0) / (0.5 * den * tmp))
+
+
+def test_recurrence_table_equals_the_inline_formula():
+    # (1/3, -1/5) has inexact products, where another operation order moves bits
+    for alpha, beta in CERTIFIED_AB + [(1.0 / 3.0, -0.2)]:
+        table = list(zip(*specfun._recurrence(alpha, beta, 20001)))[:20000]
+        assert table == [_inline_coefficients(alpha, beta, k) for k in range(1, 20001)], \
+            (alpha, beta)
+
+
+def test_recurrence_table_grows_geometrically_and_is_bounded(monkeypatch):
+    monkeypatch.setattr(specfun, "_tables", {})
+    seen = []
+    for n in range(1, 3001):  # an ascending cold table asks for one more degree each time
+        table = specfun._recurrence(0.25, 0.0, n)
+        assert len(table[0]) >= n - 1
+        if not seen or table is not seen[-1]:
+            seen.append(table)
+    assert [len(t[0]) for t in seen] == [64, 128, 256, 512, 1024, 2048, 4096]
+    assert specfun._recurrence(0.25, 0.0, 10) is seen[-1]  # a smaller n rebuilds nothing
+    for i in range(2 * specfun._TABLE_FAMILIES):
+        specfun._recurrence(float(i), 0.0, 2)
+        assert len(specfun._tables) == min(i + 2, specfun._TABLE_FAMILIES)
+    assert (0.25, 0.0) not in specfun._tables  # the oldest family went first
+    assert (2.0 * specfun._TABLE_FAMILIES - 1.0, 0.0) in specfun._tables
+
+
 def test_sturm_count_matches_the_zeros_above():
     special = pytest.importorskip("scipy.special")
     rng = np.random.default_rng(7)
@@ -462,8 +498,6 @@ def test_sturm_count_matches_the_zeros_above():
             t = np.sort(np.concatenate([rng.uniform(-1.0, 1.0, 20), roots + 1e-9, roots - 1e-9]))
             want = [(roots >= x).sum() for x in t]
             assert [_jacobi_raw(alpha, beta, n, float(x), sturm=True) for x in t] == want
-            rows = _jacobi_raw(alpha, beta, [n, n], np.stack([t, t[::-1]]), sturm=True)
-            assert rows.tolist() == [want, want[::-1]]
 
 
 def test_largest_zeros_carry_the_sturm_certificate():
@@ -503,7 +537,7 @@ def test_largest_zero_matches_the_two_pass_newton():
 
 
 def test_largest_zeros_batch_equals_one_by_one():
-    # 32 or more degrees share each Newton pass; every zero is the same double
+    # a zero is the same double whether it is asked for alone or with others
     for alpha, beta in CERTIFIED_AB:
         degrees = [*range(1, 80), 300, 1000]
         one_by_one = [largest_zero(JacobiIndex(alpha, beta, n)).t_nn for n in degrees]
