@@ -169,6 +169,8 @@ def _jacobi_raw(alpha: float, beta: float, n, t, previous: bool = False, sturm: 
     sequence (Golub & Van Loan, Matrix Computations, 8.4): leading
     coefficients are positive and c_k > 0, so the zeros above t are its sign
     changes.  A zero P_k with k < n sits between neighbours of opposite sign.
+    The Sturm pass takes a scalar t and carries the sign of the last value,
+    so each step compares one value with 0.
     """
     single = isinstance(n, (int, np.integer))
     if single:
@@ -183,15 +185,20 @@ def _jacobi_raw(alpha: float, beta: float, n, t, previous: bool = False, sturm: 
     steps = zip(*_recurrence(alpha, beta, stops[-1]))
     pm = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
     pc = 0.5 * ((alpha + beta + 2.0) * t + (alpha - beta))
-    changes = 1 * (pc < 0.0) if sturm else 0
+    if single and sturm:
+        negative = pc < 0.0
+        changes = int(negative)
+        for a_k, b_k, c_k in islice(steps, n - 1):
+            pm, pc = pc, (a_k * t + b_k) * pc - c_k * pm
+            if (pc < 0.0) != negative:
+                negative = not negative
+                changes += 1
+        # a zero P_n counts: just below t its sign is opposite to P_{n-1}'s
+        return changes + (pc == 0.0 and pm >= 0.0)
     start, done = 1, 0
     for stop, count in zip(stops, counts):
         for a_k, b_k, c_k in islice(steps, stop - start):
             pm, pc = pc, (a_k * t + b_k) * pc - c_k * pm
-            if sturm:
-                changes = changes + ((pc < 0.0) != (pm < 0.0))
-        if single and sturm:  # a zero P_n counts: just below t its sign is opposite to P_{n-1}'s
-            return changes + ((pc == 0.0) & (pm >= 0.0))
         if single:
             return (pm, pc) if previous else pc
         out[done:done + count] = pc[:count]
@@ -419,7 +426,7 @@ def largest_zero(idx: JacobiIndex) -> ZeroResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)  # sieve uses one 128-node rule per family; other callers vary m
+@lru_cache(maxsize=1024)  # sieve: a few rules of 8k nodes per family; other callers vary m
 def _gauss_jacobi_cached(alpha: float, beta: float, m: int):
     ab = alpha + beta
     diag = np.empty(m)
@@ -477,8 +484,8 @@ def tail_quadrature(alpha: float, beta: float, delta, m: int) -> QuadratureRule:
     The error depends on how smooth f(1 - (1-delta) x) is on [0, 1], not on
     a polynomial degree of f.  For f = P_K^2 with delta >= t_KK this is a
     squared Bessel-like profile without a zero (Mehler-Heine), so one m
-    (128 for the sieve constants, at every K >= 1) reaches the floor set by
-    rounding the nodes t near 1.
+    (128 where the sieve's u-series cancels, at every K >= 1) reaches the
+    floor set by rounding the nodes t near 1.
 
     ``delta`` may also be a 1-D sequence: then nodes and weights have one
     row per delta, each equal to the rule at that delta alone, all mapped

@@ -341,6 +341,8 @@ def test_warm_table_solves_nothing_and_prints_the_cold_bytes(capsys, monkeypatch
 
 
 def test_table_runs_one_batched_recurrence(capsys, monkeypatch):
+    # only rows whose series cancels take the recurrence, all in one pass:
+    # none on s2, and on s82 (alpha = 40) the rows from K = 4 on
     from capsieve import sieve
 
     real, calls = sieve.jacobi_ratio_rows, []
@@ -350,9 +352,10 @@ def test_table_runs_one_batched_recurrence(capsys, monkeypatch):
         return real(alpha, beta, degrees, t)
 
     monkeypatch.setattr(sieve, "jacobi_ratio_rows", counting)
-    code, _, _ = run_cli(capsys, "table", "s2", "--K-max", "20")
-    assert code == 0
-    assert calls == [list(range(1, 21))]
+    assert run_cli(capsys, "table", "s2", "--K-max", "20")[0] == 0
+    assert calls == []
+    assert run_cli(capsys, "table", "s82", "--K-max", "20")[0] == 0
+    assert calls == [list(range(4, 21))]
 
 
 @pytest.mark.parametrize("space,k_max,smallest", [("s2", "0", 1), ("s2", "-3", 1),
@@ -366,11 +369,11 @@ def test_table_without_positive_k(capsys, space, k_max, smallest):
 
 @pytest.mark.parametrize("space", ["s2", "cay16"])
 def test_bound_very_large_k(capsys, space):
-    # a fixed-size tail rule: no O(K^2) matrix at K = 20000
+    # the tail rule is sized to the series, whose length does not grow with K
     code, out, _ = run_cli(capsys, "bound", space, "--K", "20000")
     assert code == 0
     payload = json.loads(out)
-    assert payload["quadrature_nodes"] == 128
+    assert payload["quadrature_nodes"] == {"s2": 16, "cay16": 32}[space]
     assert payload["A_K"] == pytest.approx(payload["A_infinity"], rel=200 / 20000 ** 2)
 
 

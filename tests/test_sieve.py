@@ -11,7 +11,8 @@ import capsieve as cs
 from capsieve.region import MeasureSpec, measure_bound
 from capsieve.sieve import _tail_integral_sq, a_constant, a_infinity, bound_report, \
     constants_table, nyquist_delta, t2_constant
-from capsieve.specfun import _gauss_jacobi_cached
+from capsieve import sieve
+from capsieve.specfun import _gauss_jacobi_cached, jacobi_ratio_rows, tail_quadrature
 from reference import rp_exact_constants
 
 
@@ -101,6 +102,93 @@ def test_t2_tail_rule_against_mpmath():
                 want = 1 / (nu * w ** (a + 1) * mpmath.quad(f, [0, 1]))
             assert t2_constant(sp, K, delta) == pytest.approx(
                 float(want), rel=1e-12 if K < 32 else 1e-11), (sid, K)
+
+
+def _hyp2f1_constants(mpmath, sp, K, delta):
+    """40-digit (T2, A_K) at delta from the terminating 2F1 of r_n in u = 1 - x.
+
+    On P^d(R), u = 2 (1 - t)(1 + t) exactly and n = K/2.  The tail is
+    u^(alpha+1) times the integral over [0, 1] of 2F1(-n, n+alpha+beta+1;
+    alpha+1; u s/2)^2 s^alpha (2 - u s)^beta.
+    """
+    a, b, n = sp.alpha, sp.beta, sp.degree(K)
+    with mpmath.workdps(40):
+        t = mpmath.mpf(delta)
+        u = 2 * (1 - t) * (1 + t) if sp.family is cs.Family.REAL_PROJECTIVE else 1 - t
+        tail = u ** (a + 1) * mpmath.quad(
+            lambda s: (mpmath.hyp2f1(-n, n + a + b + 1, a + 1, u * s / 2) ** 2
+                       * s ** a * (2 - u * s) ** b), [0, 1])
+        cap = 2 ** (a + b + 1) * mpmath.betainc(a + 1, b + 1, 0, u / 2)
+        return 1 / (mpmath.mpf(sp.nu_perp) * tail), cap / tail
+
+
+def test_series_tails_against_the_hyp2f1_reference():
+    # every row of these families sums its series; the recurrence on 128
+    # nodes read 1.7e-9 off on s2 and 2.8e-9 on s3 at K = 20000
+    mpmath = pytest.importorskip("mpmath")
+    t0 = time.perf_counter()
+    for sid in ("s2", "rp2", "s3", "cp4", "hp8", "cay16"):
+        sp = cs.space_from_id(sid)
+        for K in (2, 60, 400, 2000, 20000):
+            t_kk = nyquist_delta(sp, K)
+            t2, a_k = _hyp2f1_constants(mpmath, sp, K, t_kk)
+            assert abs(t2_constant(sp, K, t_kk) / t2 - 1) <= 1e-13, (sid, K)
+            assert abs(a_constant(sp, K) / a_k - 1) <= 1e-13, (sid, K)
+            assert bound_report(sp, K).quadrature_nodes <= 32, (sid, K)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_cancelling_series_rows_are_no_worse_than_the_recurrence():
+    # s82 (alpha = 40) and s162 (alpha = 80) sum the series only while its
+    # rounding estimate stays below 7e-14: K <= 3 on s82, K <= 2 on s162.
+    # Those rows read at most 1.8e-14 off 40 digits, against 4.0e-14 for the
+    # recurrence; summing it at s82, K = 5 and 7 reads 3.6e-13 and 2.4e-12.
+    # Every other row is the 128-node recurrence rule's, bit for bit; at
+    # K <= 60 it reads up to 2.9e-13 off, and 7.6e-13 at K = 400
+    mpmath = pytest.importorskip("mpmath")
+    for sid, last_series in (("s82", 3), ("s162", 2)):
+        sp = cs.space_from_id(sid)
+        a, b = sp.alpha, sp.beta
+        for K in (*range(2, 61), 400):
+            t_kk = nyquist_delta(sp, K)
+            got = t2_constant(sp, K, t_kk), a_constant(sp, K)
+            if K > last_series:
+                rule = tail_quadrature(a, b, t_kk, 128)
+                vals = jacobi_ratio_rows(a, b, [K], rule.nodes[None])[0] ** 2
+                tail = float(np.dot(rule.weights, vals))
+                cap = sieve._cap_integral(sp, sp.gap(t_kk))
+                assert got == (1.0 / (sp.nu_perp * tail), cap / tail), (sid, K)
+                assert bound_report(sp, K).quadrature_nodes == 128
+            if K <= 8 or K == 400:
+                want = _hyp2f1_constants(mpmath, sp, K, t_kk)
+                tol = 3e-14 if K <= last_series else 3e-13 if K <= 60 else 8e-13
+                for value, ref in zip(got, want):
+                    assert abs(value / ref - 1) <= tol, (sid, K)
+
+
+def test_a_k_keeps_its_inverse_square_approach():
+    # K^2 (A_K - A_inf) at K = 2000, 20000 and 200000.  The printed t_KK is
+    # the double at or above the zero, so A_K at t_KK is low by about
+    # (alpha+1) (t_KK - zero) / (1 - t_KK): 7.7e-7 at K = 200000 on s2.  A
+    # 40-digit Newton step in u finds the zero and the cap ratio moves A_K
+    # there; the tail does not move to first order, since r_K vanishes at the
+    # zero.  With the 128-node recurrence this read -13353 on s2 and -39041
+    # on cp4 at K = 200000
+    mpmath = pytest.importorskip("mpmath")
+    for sid in ("s2", "cp4"):  # -1.7873 and -27.657 at K = 2000
+        sp = cs.space_from_id(sid)
+        a, b, a_inf, scaled = sp.alpha, sp.beta, a_infinity(sp), []
+        for K in (2000, 20000, 200000):
+            with mpmath.workdps(40):
+                u = 1 - mpmath.mpf(nyquist_delta(sp, K))
+                zero, c = u, (a + b + K + 1) * -K / (2 * (a + 1))
+                for _step in range(3):
+                    zero -= (mpmath.hyp2f1(-K, K + a + b + 1, a + 1, zero / 2)
+                             / (c * mpmath.hyp2f1(1 - K, K + a + b + 2, a + 2, zero / 2)))
+                shift = mpmath.betainc(a + 1, b + 1, 0, zero / 2) / mpmath.betainc(
+                    a + 1, b + 1, 0, u / 2)
+            scaled.append(K * K * (a_constant(sp, K) * float(shift) - a_inf))
+        assert scaled[1:] == pytest.approx([scaled[0]] * 2, rel=5e-3), (sid, scaled)
 
 
 def test_rp_constants_against_the_exact_rational_reference():
@@ -206,15 +294,18 @@ def test_constants_table_rows_equal_single_constants(space_id):
 
 
 def test_constants_table_maps_the_full_tail_rules_at_once(monkeypatch, s2):
-    # every K shares one 128-node call
+    # series rows map no 128-node rule; on s82 the rows whose series cancels
+    # (K >= 4) share one call
     from capsieve import sieve
 
     real, calls = sieve.tail_quadrature, []
     monkeypatch.setattr(sieve, "tail_quadrature",
-                        lambda a, b, delta, m: calls.append((np.ndim(delta), m))
+                        lambda a, b, delta, m: calls.append((len(delta), m))
                         or real(a, b, delta, m))
     constants_table(s2, 60)
-    assert calls == [(1, 128)]
+    assert calls == []
+    constants_table(cs.space_from_id("s82"), 60)
+    assert calls == [(57, 128)]
 
 
 def test_constants_table_needs_a_positive_k(s2, rp2):
@@ -225,16 +316,22 @@ def test_constants_table_needs_a_positive_k(s2, rp2):
 
 
 def test_gauss_jacobi_cache_holds_five_tables():
-    # every tail rule maps the one 128-node (0, alpha) base rule
+    # a series row's rule has a multiple of 8 nodes, at most 32 on these
+    # families at any K (cay16, J = 24 terms), so a family costs at most four
+    # Golub-Welsch solves; at K <= 40 it is two or three
     spaces = [cs.space_from_id(sid) for sid in ("s2", "cp4", "hp8", "cay16", "s3")]
     _gauss_jacobi_cached.cache_clear()
+    sieve._series_rule.cache_clear()
     for sp in spaces:
         constants_table(sp, 40)
     misses = _gauss_jacobi_cached.cache_info().misses
-    assert misses <= len({sp.alpha for sp in spaces})
+    assert misses == 2 + 2 + 3 + 3 + 2
+    sieve._rows_cache.clear()
     for sp in spaces:
         constants_table(sp, 40)
     assert _gauss_jacobi_cached.cache_info().misses == misses
+    a_constant(spaces[3], 2000)
+    assert _gauss_jacobi_cached.cache_info().misses == misses + 1  # cay16's 32 nodes
 
 
 def test_a_infinity_beta_independent(s2, rp2):
@@ -389,23 +486,28 @@ def test_bound_report_roundtrip(s2):
     assert payload["T2"] == pytest.approx(
         t2_constant(s2, 6, nyquist_delta(s2, 6)), rel=1e-14)
     assert payload["A_K"] == pytest.approx(a_constant(s2, 6), rel=1e-14)
-    assert payload["quadrature_nodes"] == 128
+    assert payload["quadrature_nodes"] == 8  # J = 7 series terms
     json.dumps(payload)  # serializable
+    # the rule behind the reported T2's tail: 128 nodes where the series
+    # cancels, none for the closed form at K = 0
+    s82 = cs.space_from_id("s82")
+    assert [bound_report(s82, k).quadrature_nodes for k in (3, 4)] == [24, 128]
+    assert bound_report(s2, 0, 0.5).quadrature_nodes == 0
 
 
 def test_bound_report_shares_the_tail_integral(monkeypatch, s2):
     from capsieve import sieve
 
-    # one rule at t_KK serves T2 and A_K and stays in the row cache; a delta
-    # off t_KK adds one rule
+    # one tail at t_KK serves T2 and A_K and stays in the row cache; a delta
+    # off t_KK adds one tail
     t_kk = nyquist_delta(s2, 6)
     want = {d: (t2_constant(s2, 6, d), a_constant(s2, 6)) for d in (t_kk, 0.99)}
     sieve._rows_cache.clear()
-    real, deltas = sieve.tail_quadrature, []
-    monkeypatch.setattr(sieve, "tail_quadrature",
-                        lambda a, b, delta, m: deltas.append(delta) or real(a, b, delta, m))
-    for delta, rules in ((None, [[t_kk]]), (0.99, [[0.99]])):
-        deltas.clear()
+    real, tails = sieve._series_tail, []
+    monkeypatch.setattr(sieve, "_series_tail",
+                        lambda a, b, n, x: tails.append((n, x)) or real(a, b, n, x))
+    for delta, computed in ((None, [(6, t_kk)]), (None, []), (0.99, [(6, 0.99)])):
+        tails.clear()
         rep = bound_report(s2, 6, delta)
-        assert deltas == rules
+        assert tails == computed
         assert (rep.T2, rep.A_K) == want[rep.delta]

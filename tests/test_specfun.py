@@ -500,6 +500,32 @@ def test_sturm_count_matches_the_zeros_above():
             assert [_jacobi_raw(alpha, beta, n, float(x), sturm=True) for x in t] == want
 
 
+def _two_comparison_count(alpha, beta, n, t):
+    """The Sturm pass that compares both P_k and P_{k-1} with 0 at every step."""
+    a, b, c = specfun._recurrence(alpha, beta, n)
+    pm, pc = 1.0, 0.5 * ((alpha + beta + 2.0) * t + (alpha - beta))
+    changes = 1 * (pc < 0.0)
+    for a_k, b_k, c_k in zip(a[:n - 1], b[:n - 1], c[:n - 1]):
+        pm, pc = pc, (a_k * t + b_k) * pc - c_k * pm
+        changes = changes + ((pc < 0.0) != (pm < 0.0))
+    return changes + ((pc == 0.0) & (pm >= 0.0))
+
+
+def test_sturm_pass_counts_as_the_two_comparison_body():
+    # the pass carries the sign of P_{k-1} from the step before; at t = 0 and
+    # alpha = beta every odd P_k is 0.0 exactly, so zero values are on the grid
+    zero_values = 0
+    for alpha, beta in CERTIFIED_AB:
+        for n in (1, 2, 3, 7, 40, 201):
+            roots = largest_zeros(alpha, beta, [n])
+            t = [*np.linspace(-1.0, 1.0, 41), 0.0, math.nextafter(roots[0], -2.0), roots[0]]
+            for x in map(float, t):
+                want = _two_comparison_count(alpha, beta, n, x)
+                assert _jacobi_raw(alpha, beta, n, x, sturm=True) == want, (alpha, beta, n, x)
+                zero_values += _jacobi_raw(alpha, beta, n, x) == 0.0
+    assert zero_values >= 10
+
+
 def test_largest_zeros_carry_the_sturm_certificate():
     # P_n has no zero in [t, 1] and exactly one in [nextafter(t, -1), 1]
     for alpha, beta in CERTIFIED_AB:
