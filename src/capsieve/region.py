@@ -4,10 +4,12 @@ Regions are boolean combinations (union, optional complement) of geodesic
 caps.  Membership, the cap sample around e_0, Monte Carlo intersection
 fractions, and the two suprema over cap centres live here.  The maximum
 Nyquist density rho of a region is searched (candidate centres, then
-spherical coordinate descent) and every centre is scored on one cap sample
-drawn around e_0: the reflection that takes e_0 to the centre moves the
-region's few cap centres into the centre's frame, and the sample stays
-where it is.  The largest cap mass of a finitely supported measure on S^2
+spherical coordinate descent) and every centre is scored on one cap
+sample drawn around e_0.  A centre whose cap lies inside a region cap
+or misses every one is settled by the triangle inequality; the rest are
+counted: the reflection that takes e_0 to the centre moves the region's
+few cap centres into the centre's frame, and the sample stays where it
+is.  The largest cap mass of a finitely supported measure on S^2
 or P^2(R) is exact: a sweep over the circle of centres that puts each atom
 on the cap boundary.
 
@@ -43,6 +45,7 @@ REFINE_ITERS = 20
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _MAX_SAMPLE_ENTRIES = 1 << 24  # n (d+1) of one cap sample; about 100 B per point on S^2
 _CHUNK_POINTS = 1 << 13  # sample points times centres per cap product (one centre at least)
+_SETTLE_SLACK = 1e-6  # rad; the rounding of acos near 1 is about 1.5e-8
 
 
 def _as_unit(vec) -> np.ndarray:
@@ -114,14 +117,17 @@ def _best_center(score, candidates: np.ndarray, delta: float) -> tuple[np.ndarra
     The best candidate (the first on ties) is refined by spherical coordinate
     descent: each of REFINE_ITERS iterations tries a step of
     acos(delta)/2 * 0.75^it both ways along every tangent axis (e_1 .. e_d
-    reflected by ``_pole_to``) and keeps a strict improvement.  Returns the
-    best center and its score.
+    reflected by ``_pole_to``) and keeps a strict improvement.  The descent
+    stops at a score of 1, which nothing can beat.  Returns the best center
+    and its score.
     """
     vals = score(candidates)
     i = int(np.argmax(vals))
     center, best = candidates[i], float(vals[i])
     step0 = 0.5 * math.acos(max(-1.0, min(1.0, delta)))
     for it in range(REFINE_ITERS):
+        if best >= 1.0:
+            break
         step = step0 * (0.75 ** it)
         cs, sn = math.cos(step), math.sin(step)
         axes = _pole_to(center[None], np.eye(center.shape[0]))[0, 1:]
@@ -276,7 +282,7 @@ def _pole_to(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
     s = sign(c_0) (+1 at 0): a symmetric orthogonal map with Q_c e_0 = c.
     |v|^2 = 2 (1 + |c_0|) never cancels, and |<Q_c p, c>| = |<p, e_0>|.
     Q_c is its own inverse, so the same call moves points from around c
-    into the frame where c sits at e_0: ``_fractions`` moves the region's
+    into the frame where c sits at e_0: ``_counted_fractions`` moves the region's
     cap centres that way, since <Q_c p, c_i> = <p, Q_c c_i>.
     """
     s = np.where(centers[:, 0] < 0.0, -1.0, 1.0)
@@ -288,6 +294,31 @@ def _pole_to(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def _fractions(region: RegionSpec, centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Share of the pole sample pts inside the region once moved to each center.
+
+    Most centres are settled by cap geometry alone.  Q_c moves the sample
+    onto c and keeps its radius r = acos(min cos distance to e_0), so by the
+    triangle inequality a centre within theta_i - r of some cap's centre
+    (theta_i = acos(delta_i), distances projective on P^d(R)) has every
+    point inside that cap, and one farther than theta_i + r from every cap's
+    centre has none inside.  Both tests carry a slack of _SETTLE_SLACK
+    radians, far above the rounding of acos and of the counting path, so
+    the settled share is 1 or 0 exactly as counting would give it (0 or 1
+    on a complement).  Only the other centres are counted, by
+    ``_counted_fractions``.
+    """
+    space = region.space
+    r = math.acos(float(cos_distance(space, pts, np.eye(pts.shape[1])[0]).min()))
+    theta = np.arccos(np.array([delta for _, delta in region.caps]))
+    dist = np.arccos(cos_distance(space, centers, region.cap_centers()))  # (centres, caps)
+    inside = (dist < theta - r - _SETTLE_SLACK).any(axis=1)
+    undecided = ~inside & (dist <= theta + r + _SETTLE_SLACK).any(axis=1)
+    out = np.where(inside != region.complement, 1.0, 0.0)
+    out[undecided] = _counted_fractions(region, centers[undecided], pts)
+    return out
+
+
+def _counted_fractions(region: RegionSpec, centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Share of the pole sample pts inside the region once moved to each center, counted.
 
     The sample is not moved: the region's cap centres are moved into each
     centre's frame instead (Q_c is symmetric and orthogonal), and each cap
@@ -318,14 +349,17 @@ def max_nyquist_density(region: RegionSpec, K: int, n_per_center: int,
     The cap parameter is the largest zero of the space's degree-K Jacobi
     polynomial.  Candidate centers are the region's cap centers, their
     pairwise midpoints, and a global grid; the best candidate is refined by
-    spherical coordinate descent with a shrinking step.  One cap sample of
-    n_per_center points is drawn around e_0 per call and every center is
-    scored on the same points (common random numbers): the reflection that
-    takes e_0 to the center moves the region's cap centres into its frame,
-    which is the same as moving the sample onto the center, so the result
-    does not depend on evaluation order.  n_per_center (d+1) may not exceed
-    2^24.  The returned rho is an estimate, not a bound: no confidence
-    margin is added.
+    spherical coordinate descent with a shrinking step, which stops at a
+    score of 1.  One cap sample of n_per_center points is drawn around e_0
+    per call and every center is scored on the same points (common random
+    numbers).  Centres that cap
+    geometry decides score exactly 0 or 1 without counting; for the others
+    the reflection that takes e_0 to the center moves the region's cap
+    centres into its frame, which is the same as moving the sample onto the
+    center (``_fractions``).  Either way a score depends on its centre
+    only, so the result does not depend on evaluation order.  n_per_center
+    (d+1) may not exceed 2^24.  The returned rho is an estimate, not a
+    bound: no confidence margin is added.
     """
     space = region.space
     if K < 1 or not space.in_index_set(K):

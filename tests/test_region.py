@@ -221,6 +221,96 @@ def test_density_matches_the_moved_sample_reference(monkeypatch):
             assert got.n_centers == want.n_centers
 
 
+def _boundary_cases(space, seed):
+    """Regions and centres with a cap boundary near the geometric settlement's thresholds.
+
+    The sample's farthest point sits at distance r from each centre c once
+    moved there.  A cap centre c_i is placed on the geodesic through c and
+    that point, on either side of c, at distance theta_i +- r + eta from c,
+    so the farthest point lies eta inside or outside the cap.  The caps are
+    ordinary, smaller than the sample (theta_i < r) and, on S^d, wider than
+    a hemisphere (delta < 0).
+    """
+    dim = space.d + 1
+    pts = region._pole_sample(space, nyquist_delta(space, 10 if space.d == 2 else 8), 200, seed)
+    cos0 = region.cos_distance(space, pts, np.eye(dim)[0])
+    far = int(np.argmin(cos0))
+    r = math.acos(cos0[far])
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((3, dim))
+    g[0, 0] = -abs(g[0, 0])
+    other = (rng.standard_normal(dim), 0.8)
+    wide = -0.3 if space.family is cs.Family.SPHERE else 0.1
+    cases = [(RegionSpec(space=space, caps=(), complement=comp), g) for comp in (False, True)]
+    for c in g / np.linalg.norm(g, axis=1, keepdims=True):
+        q = region._pole_to(c[None], pts[far:far + 1])[0, 0]
+        q = q if q @ c >= 0.0 else -q
+        w = q - (q @ c) * c  # tangent at c towards q
+        w /= np.linalg.norm(w)
+        for delta in (0.8, 0.9999, wide):
+            theta = math.acos(delta)
+            for side in (-1.0, 1.0):
+                for a in (theta + s * r + eta for s in (-1.0, 1.0)
+                          for eta in (-1e-5, -1e-7, -1e-9, 1e-9, 1e-7, 1e-5)):
+                    if not 0.0 <= a <= math.pi:
+                        continue
+                    ci = math.cos(a) * c + side * math.sin(a) * w
+                    centers = np.array([c, -c, ci, -ci])
+                    cases += [(RegionSpec(space=space, caps=caps, complement=comp), centers)
+                              for caps, comp in ((((ci, delta),), False),
+                                                 (((ci, delta),), True),
+                                                 (((ci, delta), other), False))]
+    return pts, cases
+
+
+@pytest.mark.parametrize("sid", ["s2", "rp2", "s3"])
+def test_settled_scores_match_the_moved_sample_at_the_boundaries(sid):
+    space = cs.space_from_id(sid)
+    for seed in (1, 2):
+        pts, cases = _boundary_cases(space, seed)
+        for reg, centers in cases:
+            assert np.array_equal(region._fractions(reg, centers, pts),
+                                  _reference_fractions(reg, centers, pts))
+
+
+def test_descent_stops_at_a_full_score(s2):
+    # the complement of two caps: a candidate already scores 1, so the
+    # candidate set is the only score call
+    reg = RegionSpec(space=s2, caps=((np.array([0.0, 0.0, 1.0]), 0.7),
+                                     (np.array([1.0, 0.0, 0.0]), 0.7)), complement=True)
+    delta = nyquist_delta(s2, 10)
+    pts = region._pole_sample(s2, delta, 128, 1)
+    calls = []
+
+    def score(centers):
+        calls.append(centers.shape[0])
+        return region._fractions(reg, centers, pts)
+
+    _, best = region._best_center(score, region.candidate_centers(s2, reg.cap_centers(), 256, 1),
+                                  delta)
+    assert best == 1.0
+    assert len(calls) == 1
+
+
+def test_density_counts_few_candidates(monkeypatch, s2):
+    # a single S^2 cap smaller than the Nyquist cap: geometry settles all
+    # but a few per cent of the candidate centres, which are never counted
+    K = 10
+    reg = _cap_region(s2, np.random.default_rng(5).standard_normal(3),
+                      1.0 - 0.5 * (1.0 - nyquist_delta(s2, K)))
+    counted = []
+    count = region._counted_fractions
+
+    def counting(reg, centers, pts):
+        counted.append(centers.shape[0])
+        return count(reg, centers, pts)
+
+    monkeypatch.setattr(region, "_counted_fractions", counting)
+    est = max_nyquist_density(reg, K, 128, 5)
+    # the first call scores the candidate set
+    assert counted[0] < 0.1 * est.n_centers
+
+
 def test_pole_sample_size_is_capped():
     # rejected before anything is drawn: the sample would need about 560 MB
     for sid in ("s2", "s3"):
