@@ -11,6 +11,7 @@ near t = 1 is certified by two Sturm zero counts at t_KK.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,20 +127,12 @@ def sphere_grid(n_theta: int):
     return pts, wts
 
 
-def sphere_harmonics(K: int, points: np.ndarray) -> np.ndarray:
-    """Real spherical harmonics of degree <= K at unit vectors, one column each.
-
-    Orthonormal for the mass-one invariant measure, so that for every
-    degree l the columns of that degree satisfy the addition theorem
-    sum_m Y_lm(x) Y_lm(y) = (2l + 1) P_l(<x, y>).  The fully normalized
-    associated Legendre functions come from the standard stable
-    recurrences in l at fixed m.  Returns an array of shape (n, (K+1)^2).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    z = np.clip(pts[:, 2], -1.0, 1.0)
-    s = np.hypot(pts[:, 0], pts[:, 1])
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
-    cols = []
+def _harmonic_factors(K: int, rings: np.ndarray, azimuths: np.ndarray):
+    """Legendre factor at the z of ``rings``, trig factor at the phi of ``azimuths``."""
+    z = np.clip(rings[:, 2], -1.0, 1.0)
+    s = np.hypot(rings[:, 0], rings[:, 1])
+    phi = np.arctan2(azimuths[:, 1], azimuths[:, 0])
+    leg, trig = [], []
     p_mm = np.ones_like(z)
     for m in range(K + 1):
         if m == 1:
@@ -155,29 +148,49 @@ def sphere_harmonics(K: int, points: np.ndarray) -> np.ndarray:
             b = math.sqrt((2 * l + 1) * (l + m - 1) * (l - m - 1)
                           / ((l - m) * (l + m) * (2 * l - 3)))
             rows.append(a * z * rows[-1] - b * rows[-2])
-        if m == 0:
-            cols += rows
-        else:
-            cos_m, sin_m = np.cos(m * phi), np.sin(m * phi)
-            cols += [r * cos_m for r in rows] + [r * sin_m for r in rows]
-    return np.column_stack(cols)
+        leg += rows + (rows if m else [])  # the cos(m phi) columns, then the sin(m phi) ones
+        trig += [np.cos(m * phi)] * len(rows) + ([np.sin(m * phi)] * len(rows) if m else [])
+    return np.column_stack(leg), np.column_stack(trig)
+
+
+def sphere_harmonics(K: int, points: np.ndarray) -> np.ndarray:
+    """Real spherical harmonics of degree <= K at unit vectors, one column each.
+
+    Orthonormal for the mass-one invariant measure, so that for every
+    degree l the columns of that degree satisfy the addition theorem
+    sum_m Y_lm(x) Y_lm(y) = (2l + 1) P_l(<x, y>).  A column is the fully
+    normalized P_lm(z), from the standard stable recurrences in l at fixed
+    m, times 1, cos(m phi) or sin(m phi).  Returns shape (n, (K+1)^2).
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    return np.multiply(*_harmonic_factors(K, pts, pts))
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_factors(K: int, n_theta: int):
+    """sphere_grid(n_theta) with the factors of its rings and azimuths, all read-only."""
+    pts, wts = sphere_grid(n_theta)
+    out = (pts, wts, *_harmonic_factors(K, pts[::2 * n_theta], pts[:2 * n_theta]))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def concentration_eigenvalue(region: RegionSpec, K: int, n_theta: int) -> SpectralResult:
     """Top eigenvalue of the discretized concentration operator on S^2.
 
-    The operator sqrt(w_i w_j) k_K(<x_i, x_j>) on the quadrature nodes
-    inside the region factors as A A^T with A = sqrt(w) Y, Y the real
-    spherical harmonics of degree <= K at those nodes.  Its nonzero
-    eigenvalues are those of the (K+1)^2 x (K+1)^2 Gram matrix D = A^T A
-    (Simons, Dahlen & Wieczorek 2006), solved densely; trace(D) is the
-    Shannon number of the region.
+    The operator sqrt(w_i w_j) k_K(<x_i, x_j>) on the region's grid nodes is
+    A A^T, A = sqrt(w) Y with Y the real harmonics of degree <= K there
+    (Simons, Dahlen & Wieczorek 2006).  Node ring * 2 n_theta + az has
+    Y = leg[ring] * trig[az], factors cached per (K, n_theta).  A A^T and
+    the Gram matrix A^T A share their nonzero eigenvalues: the smaller is
+    solved densely, and its trace is the Shannon number.
     """
     if region.space.d != 2 or region.space.space_id != "s2":
         raise ValueError("the spectral oracle runs on S^2 only")
     if n_theta < 2 * K + 8:
         raise ValueError("n_theta must be at least 2K + 8")
-    pts, wts = sphere_grid(n_theta)
+    pts, wts, leg, trig = _grid_factors(K, n_theta)
     n_total = pts.shape[0]
     active = np.flatnonzero(region.contains(pts))
     summary = {"caps": len(region.caps), "complement": region.complement,
@@ -185,8 +198,10 @@ def concentration_eigenvalue(region: RegionSpec, K: int, n_theta: int) -> Spectr
     if active.size == 0:
         return SpectralResult(lambda_max=0.0, shannon_number=0.0, n_nodes=n_total,
                               K=K, region=summary)
-    a = np.sqrt(wts[active])[:, None] * sphere_harmonics(K, pts[active])
-    gram = a.T @ a
+    ring, az = np.divmod(active, 2 * n_theta)
+    a = leg[ring] * trig[az]
+    a *= np.sqrt(wts[active])[:, None]
+    gram = a @ a.T if active.size < a.shape[1] else a.T @ a
     return SpectralResult(lambda_max=float(np.linalg.eigvalsh(gram)[-1]),
                           shannon_number=float(np.trace(gram)), n_nodes=n_total,
                           K=K, region=summary)

@@ -412,12 +412,16 @@ def largest_zero(idx: JacobiIndex) -> ZeroResult:
     """Largest zero t_nn of P_n^(alpha,beta), n >= 1, as certified by largest_zeros.
 
     P_n has no zero in [t_nn, 1] and one in [t_nn - bracket_width, t_nn):
-    bracket_width is one ulp.  At n = 1 the closed form has bracket_width 0.
+    bracket_width is one ulp.  It is 0 only at n = 1 when t_nn is the zero
+    (beta-alpha)/(alpha+beta+2) itself, tested in exact integer arithmetic.
     """
     if idx.n < 1:
         raise ValueError("degree must be >= 1")
     t = largest_zeros(idx.alpha, idx.beta, [idx.n])[0]
-    width = 0.0 if idx.n == 1 else t - math.nextafter(t, -math.inf)
+    # t (alpha + beta + 2) == beta - alpha, for t = p/q, alpha = a/ad, beta = b/bd
+    (p, q), (a, ad), (b, bd) = (float(v).as_integer_ratio() for v in (t, idx.alpha, idx.beta))
+    exact = idx.n == 1 and p * (a * bd + b * ad + 2 * ad * bd) == q * (b * ad - a * bd)
+    width = 0.0 if exact else t - math.nextafter(t, -math.inf)
     return ZeroResult(t_nn=t, theta_n1=math.acos(t), bracket_width=width)
 
 

@@ -5,7 +5,7 @@ rational constants of P^d(R) at integer alpha, the reproducing kernel of
 S^2, and cap membership, sampling and intersection fractions on S^d and
 P^d(R).  The cap helpers reuse the region module's
 pole sample and reflections, so a sample here is the one the density
-search scores.
+search scores; only s2_cap_fraction draws its own exact sample.
 """
 
 import math
@@ -125,8 +125,28 @@ def sample_space(space, n: int, seed: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def cap_fraction(reg, center, delta: float, n: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of |Omega intersect cap| / |cap| with its std error."""
-    pts = region._pole_sample(reg.space, delta, n, seed)
+def _fraction(reg, center, pts: np.ndarray) -> tuple[float, float]:
     f = float(region._fractions(reg, region._as_unit(center)[None], pts)[0])
-    return f, math.sqrt(f * (1.0 - f) / n)
+    return f, math.sqrt(f * (1.0 - f) / len(pts))
+
+
+def cap_fraction(reg, center, delta: float, n: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo estimate of |Omega intersect cap| / |cap| with its std error.
+
+    The cap sample is the region module's pole sample, the one the density
+    search scores.
+    """
+    return _fraction(reg, center, region._pole_sample(reg.space, delta, n, seed))
+
+
+def s2_cap_fraction(reg, center, delta: float, n: int, seed: int) -> tuple[float, float]:
+    """cap_fraction on S^2 from a sample drawn here, exactly and without the program's CDF.
+
+    By Archimedes, t = <x, e_0> of a uniform point of the cap around e_0 is
+    uniform on [delta, 1], and its azimuth is uniform.
+    """
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(delta, 1.0, n)
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    return _fraction(reg, center, np.column_stack([t, r * np.cos(phi), r * np.sin(phi)]))

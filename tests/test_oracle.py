@@ -1,12 +1,18 @@
 """Verification oracles: extremal minimization, spectral operator, convolution."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import capsieve as cs
+from capsieve import oracle
 from capsieve.oracle import (
     concentration_eigenvalue,
     convolution_check,
@@ -170,6 +176,71 @@ def test_sphere_harmonics_factor_the_kernel():
         got = (a @ a.T) / np.sqrt(np.outer(w, w))
         want = sphere_kernel(K, np.clip(x @ x.T, -1.0, 1.0))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * (K + 1) ** 2)
+
+
+def _seeded_regions(s2, seed, K, n_theta):
+    """A single cap, a union of three, a complement of two, and a cap on one grid node."""
+    rng = np.random.default_rng([seed, K])
+
+    def unit():
+        v = rng.standard_normal(3)
+        return v / np.linalg.norm(v)
+
+    node = sphere_grid(n_theta)[0][int(rng.integers(2 * n_theta * n_theta))]
+    return [_region(s2, ((unit(), rng.uniform(0.8, 0.95)),)),
+            _region(s2, tuple((unit(), rng.uniform(0.9, 0.97)) for _ in range(3))),
+            _region(s2, tuple((unit(), rng.uniform(0.6, 0.8)) for _ in range(2)),
+                    complement=True),
+            _region(s2, ((node, 1.0 - 1e-9),))]
+
+
+@pytest.mark.parametrize("K", [0, 1, 6, 8, 10])
+def test_spectral_factors_match_the_harmonics(s2, K):
+    # the gathered factors are sqrt(w) Y of the active nodes, and the small
+    # side A A^T and the large side A^T A give the same top eigenvalue
+    n_theta = 2 * K + 8
+    pts, wts = sphere_grid(n_theta)
+    f_pts, f_wts, leg, trig = oracle._grid_factors(K, n_theta)
+    for arr in (f_pts, f_wts, leg, trig):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    for seed in (1, 2):
+        for i, reg in enumerate(_seeded_regions(s2, seed, K, n_theta)):
+            active = np.flatnonzero(reg.contains(pts))
+            res = concentration_eigenvalue(reg, K, n_theta)
+            assert res.region["n_active"] == active.size > 0
+            assert (active.size == 1) == (i == 3)
+            ring, az = np.divmod(active, 2 * n_theta)
+            a = np.sqrt(f_wts[active])[:, None] * leg[ring] * trig[az]
+            want = np.sqrt(wts[active])[:, None] * sphere_harmonics(K, pts[active])
+            np.testing.assert_allclose(a, want, rtol=0, atol=1e-13)
+            small = np.linalg.eigvalsh(a @ a.T)[-1]
+            large = np.linalg.eigvalsh(a.T @ a)[-1]
+            assert abs(small - large) <= 1e-13
+            assert abs(res.lambda_max - large) <= 1e-13
+            if i == 3:  # the addition theorem: |Y(x)|^2 = (K+1)^2
+                assert res.lambda_max == pytest.approx(wts[active[0]] * (K + 1) ** 2,
+                                                       rel=1e-13)
+
+
+def test_spectral_factors_are_built_lazily():
+    # a fresh process: nothing is built at import and scipy is not loaded;
+    # the benchmark worker's warm-up call fills exactly one cache entry
+    code = textwrap.dedent("""
+        import sys
+        import capsieve
+        from capsieve import oracle
+        print(oracle._grid_factors.cache_info().currsize, "scipy" in sys.modules)
+        sys.path.insert(0, sys.argv[1])
+        import worker
+        worker._warm_up("spectral")
+        print(oracle._grid_factors.cache_info().currsize, "scipy" in sys.modules)
+    """)
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", code, str(root / "perfbench")], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["0", "False", "1", "False"]
 
 
 def test_spectral_cap_region_between_zero_and_one(s2, pole):

@@ -11,7 +11,7 @@ import capsieve as cs
 from capsieve import _backend, region
 from capsieve.region import DensityEstimate, RegionSpec, max_nyquist_density
 from capsieve.sieve import nyquist_delta
-from reference import cap_contains, cap_fraction, sample_cap, sample_space
+from reference import cap_contains, cap_fraction, s2_cap_fraction, sample_cap, sample_space
 
 
 def _cap_region(space, center, delta):
@@ -388,7 +388,7 @@ def test_density_smaller_cap_ratio(s2, pole):
     assert est.rho <= want + 3.0 * est.std_error + sel
     # every center within acos(t_KK) - acos(dprime) of the pole is optimal,
     # so check the value at argmax_center, not its position, on fresh points
-    f, _ = cap_fraction(reg, est.argmax_center, t_kk, 1_000_000, 8)
+    f, _ = s2_cap_fraction(reg, est.argmax_center, t_kk, 1_000_000, 8)
     assert f >= want - 2.0 * est.std_error
 
 

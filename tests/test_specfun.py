@@ -6,11 +6,13 @@ reference library evaluations, independently of the code under test.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import capsieve as cs
 from capsieve import specfun
 from capsieve.specfun import (
     JacobiIndex,
@@ -560,6 +562,23 @@ def test_largest_zero_matches_the_two_pass_newton():
                 assert res.bracket_width == res.t_nn - math.nextafter(res.t_nn, -math.inf)
                 assert _jacobi_raw(alpha, beta, n, res.t_nn, sturm=True) == 0
                 assert _jacobi_raw(alpha, beta, n, res.t_nn - res.bracket_width, sturm=True) == 1
+
+
+def test_degree_one_bracket_holds_the_exact_zero():
+    # (beta-alpha)/(alpha+beta+2) is a double only on s2; on cp4, hp8 and
+    # cay16 it is -1/3, and t_nn = fl(-1/3) lies above it, so the reported
+    # bracket is the ulp below t_nn
+    for sid in ("s2", "cp4", "hp8", "cay16"):
+        sp = cs.space_from_id(sid)
+        res = largest_zero(JacobiIndex(sp.alpha, sp.beta, 1))
+        exact = (Fraction(sp.beta) - Fraction(sp.alpha)) / (
+            Fraction(sp.alpha) + Fraction(sp.beta) + 2)
+        t, width = Fraction(res.t_nn), Fraction(res.bracket_width)
+        if sid == "s2":
+            assert width == 0 and t == exact
+        else:
+            assert res.bracket_width == res.t_nn - math.nextafter(res.t_nn, -math.inf)
+            assert t - width <= exact < t, sid
 
 
 def test_largest_zeros_batch_equals_one_by_one():
